@@ -1145,7 +1145,7 @@ def scrub_files(root: str | Path, repair: bool = False) -> dict:
             try:
                 log = load_replay(path)
                 ok = log.complete
-            except (ReplayFormatError, OSError, UnicodeDecodeError):
+            except ReplayFormatError:
                 ok = False
             if ok:
                 report["files"][name] = {"state": "ok"}

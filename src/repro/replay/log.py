@@ -12,25 +12,32 @@ without a fault injector (or a simulator) in the loop.
 
 On-disk form — line-oriented JSON, written strictly append-only::
 
-    {"format": "txsampler-replay", "version": 1, "meta": {...}}   header
-    {"s": 0, "c": <crc32>, "e": [state_word, {sample...}]}        events
-    {"s": 1, "c": <crc32>, "e": [state_word, {sample...}]}
+    {"format":"txsampler-replay","meta":{...},"version":1}        header
+    {"c":<crc32>,"e":[state_word,{sample...}],"s":0}              events
+    {"c":<crc32>,"e":[state_word,{sample...}],"s":1}
     ...
-    {"manifest": {"events": N, "digest": "...", "site_names": {...}}}
+    {"manifest":{"digest":"...","events":N,"site_names":{...}}}
 
-Every event line carries a CRC-32 of its canonical event JSON; the
-trailing manifest seals the log with the event count, a running SHA-256
-digest over all event payloads, and the end-of-run metadata (the
-critical-section symbol table) that only exists once the run finishes.
-Like the campaign result store, the reader is torn-tail tolerant: a
-truncated, garbled, or checksum-failing line ends the parse — everything
+Every event line carries a CRC-32 of its payload — the exact bytes
+between ``"e":`` and ``,"s":`` as written — and the trailing manifest
+seals the log with the event count, a running SHA-256 digest over those
+same payload bytes, and the end-of-run metadata (the critical-section
+symbol table) that only exists once the run finishes.  The reader
+accepts an event line only in the writer's exact shape
+``{"c":<crc>,"e":<payload>,"s":<seq>}``: it slices the payload out,
+checks the sequence number and the CRC over the slice, and parses only
+the payload — nothing is re-encoded to be checked.  Like the campaign
+result store, the reader is torn-tail tolerant: a truncated, garbled,
+checksum-failing or otherwise-shaped line ends the parse — everything
 before it is intact and replayable, and :attr:`ReplayLog.complete`
 records whether the manifest sealed what was read.
 
 Sample encoding is compact: single-letter keys, default-valued fields
 omitted, LBR entries as 5-element arrays (junk entries injected by a
 corruption fault plan are preserved verbatim so replay quarantines them
-exactly like the live run did).
+exactly like the live run did).  A log holds few distinct LBR entries,
+so each :func:`loads_replay` call builds one shared :class:`LbrEntry`
+per distinct entry.
 """
 
 from __future__ import annotations
@@ -53,6 +60,10 @@ SUFFIX = ".rlog"
 
 class ReplayFormatError(ValueError):
     """The file is not a replay log this version can read."""
+
+
+#: an event line, exactly as written: CRC, payload, sequence number
+_EVENT = '{"c":%d,"e":%s,"s":%d}'
 
 
 def _canonical(obj: object) -> str:
@@ -92,19 +103,30 @@ def encode_sample(s: Sample) -> dict[str, Any]:
     return doc
 
 
-def decode_sample(doc: dict[str, Any]) -> Sample:
+def decode_sample(
+    doc: dict[str, Any],
+    interned: dict[tuple[Any, ...], LbrEntry] | None = None,
+) -> Sample:
     """Inverse of :func:`encode_sample`.
 
     Non-list LBR entries (the junk a corruption fault plan plants where
     an :class:`LbrEntry` belongs) decode to themselves, so the replayed
     profiler's ``bad-lbr`` quarantine check sees exactly what the live
-    one saw.
+    one saw.  ``interned`` maps each entry seen so far to its shared
+    :class:`LbrEntry`; pass one dict for every sample of a log.
     """
-    lbr: tuple[Any, ...] = tuple(
-        LbrEntry(entry[0], entry[1], entry[2], entry[3], entry[4])
-        if isinstance(entry, list) else entry
-        for entry in doc.get("l", ())
-    )
+    if interned is None:
+        interned = {}
+    lbr: list[Any] = []
+    for entry in doc.get("l", ()):
+        if isinstance(entry, list):
+            key = tuple(entry)
+            shared = interned.get(key)
+            if shared is None:
+                shared = interned[key] = LbrEntry(
+                    entry[0], entry[1], entry[2], entry[3], entry[4])
+            entry = shared
+        lbr.append(entry)
     return Sample(
         event=doc["e"],
         tid=doc["t"],
@@ -112,7 +134,7 @@ def decode_sample(doc: dict[str, Any]) -> Sample:
         ip=doc["ip"],
         ustack=tuple(doc.get("us", ())),
         resume_ip=doc.get("ri", 0),
-        lbr=lbr,
+        lbr=tuple(lbr),
         eff_addr=doc.get("a"),
         is_store=bool(doc.get("st", 0)),
         weight=doc.get("w", 0),
@@ -151,12 +173,11 @@ class ReplayWriter:
         if self._sealed:
             raise ReplayFormatError("log already sealed")
         payload = _canonical([state_word, encode_sample(sample)])
-        self._digest.update(payload.encode())
-        self._lines.append(_canonical({
-            "s": self._events,
-            "c": zlib.crc32(payload.encode()),
-            "e": json.loads(payload),
-        }))
+        raw = payload.encode()
+        self._digest.update(raw)
+        # the same bytes _canonical({"c":…,"e":…,"s":…}) would give
+        self._lines.append(
+            _EVENT % (zlib.crc32(raw), payload, self._events))
         self._events += 1
 
     def seal(self, site_names: dict[int, str] | None = None,
@@ -226,69 +247,97 @@ class ReplayLog:
         return int(self.meta.get("contention_threshold", 50_000))
 
 
+def _checked_payload(line: str, seq: int) -> bytes | None:
+    """The payload bytes of ``line`` if it is event ``seq`` in the
+    writer's exact shape with a matching CRC; ``None`` otherwise."""
+    if not line.startswith('{"c":'):
+        return None
+    at_e = line.find(',"e":', 5)
+    at_s = line.rfind(',"s":')
+    if at_e < 0 or at_s <= at_e or line[at_s + 5:] != f"{seq}}}":
+        return None
+    payload = line[at_e + 5:at_s].encode()
+    if line[5:at_e] != str(zlib.crc32(payload)):
+        return None
+    return payload
+
+
+def _decode_event(
+    payload: bytes, interned: dict[tuple[Any, ...], LbrEntry],
+) -> tuple[int, Sample] | None:
+    """``[state_word, {sample}]`` decoded; ``None`` for any other shape."""
+    try:
+        state_word, doc = json.loads(payload)
+        if type(state_word) is not int or not isinstance(doc, dict):
+            return None
+        return state_word, decode_sample(doc, interned)
+    except (ValueError, TypeError, KeyError, IndexError):
+        return None
+
+
+def _seal(log: ReplayLog, line: str, digest: str) -> bool:
+    """Apply a ``{"manifest":…}`` line to ``log``; False when ``line``
+    is not a readable manifest."""
+    try:
+        manifest = json.loads(line)["manifest"]
+        if (int(manifest.get("events", -1)) == len(log.events)
+                and manifest.get("digest") == digest):
+            site_names = {int(k): str(v)
+                          for k, v in manifest.get("site_names", {}).items()}
+            log.summary = dict(manifest.get("summary", {}))
+            log.site_names = site_names
+            log.complete = True
+    except (ValueError, TypeError, KeyError, AttributeError):
+        return False
+    return True
+
+
 def loads_replay(text: str) -> ReplayLog:
     """Parse a replay log from text, tolerating a torn tail."""
     lines = text.split("\n")
-    if not lines or not lines[0].strip():
+    if not lines[0].strip():
         raise ReplayFormatError("empty replay log")
     try:
         header = json.loads(lines[0])
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise ReplayFormatError(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != FORMAT:
         raise ReplayFormatError(
             f"not a {FORMAT} document "
             f"(format={header.get('format') if isinstance(header, dict) else header!r})"
         )
-    if int(header.get("version", 0)) > VERSION:
+    version = header.get("version", 0)
+    if type(version) is not int:
+        raise ReplayFormatError(f"log version {version!r} is not an integer")
+    if version > VERSION:
         raise ReplayFormatError(
-            f"log version {header['version']} is newer than this "
-            f"reader ({VERSION})"
+            f"log version {version} is newer than this reader ({VERSION})"
         )
-    log = ReplayLog(dict(header.get("meta", {})))
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ReplayFormatError(f"log meta {meta!r} is not an object")
+    log = ReplayLog(dict(meta))
+    events = log.events
     digest = sha256()
-    manifest: dict[str, Any] | None = None
-    body = [ln for ln in lines[1:]]
+    interned: dict[tuple[Any, ...], LbrEntry] = {}
+    body = lines[1:]
     for i, line in enumerate(body):
-        if not line.strip():
+        payload = _checked_payload(line, len(events))
+        if payload is not None:
+            event = _decode_event(payload, interned)
+            if event is not None:
+                digest.update(payload)
+                events.append(event)
+                continue
+        elif not line.strip():
             continue
-        try:
-            entry = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            log.torn_lines = sum(1 for ln in body[i:] if ln.strip())
+        elif _seal(log, line, digest.hexdigest()):
             break
-        if not isinstance(entry, dict):
-            log.torn_lines = sum(1 for ln in body[i:] if ln.strip())
-            break
-        if "manifest" in entry:
-            manifest = entry["manifest"]
-            break
-        payload = _canonical(entry.get("e"))
-        if (entry.get("s") != len(log.events)
-                or zlib.crc32(payload.encode()) != entry.get("c")):
-            # a flipped bit inside the line: same containment as a torn
-            # tail — everything before this line is intact
-            log.torn_lines = sum(1 for ln in body[i:] if ln.strip())
-            break
-        digest.update(payload.encode())
-        state_word, sample_doc = entry["e"]
-        try:
-            sample = decode_sample(sample_doc)
-        except (KeyError, IndexError, TypeError):
-            log.torn_lines = sum(1 for ln in body[i:] if ln.strip())
-            break
-        log.events.append((int(state_word), sample))
-    if manifest is not None:
-        sealed_events = int(manifest.get("events", -1))
-        sealed_digest = manifest.get("digest")
-        if (sealed_events == len(log.events)
-                and sealed_digest == digest.hexdigest()):
-            log.complete = True
-            log.site_names = {
-                int(k): str(v)
-                for k, v in manifest.get("site_names", {}).items()
-            }
-            log.summary = dict(manifest.get("summary", {}))
+        # a flipped bit, a cut line, or a shape the writer never
+        # produces: same containment as a torn tail — everything before
+        # this line is intact
+        log.torn_lines = sum(1 for ln in body[i:] if ln.strip())
+        break
     return log
 
 
@@ -296,15 +345,16 @@ def load_replay(path: str | Path) -> ReplayLog:
     """Load one replay log file.
 
     Raises :class:`ReplayFormatError` — with the offending path in the
-    message — for a missing or non-replay file; a torn tail is not an
-    error (the intact prefix is returned with ``complete=False``).
+    message — for a missing, unreadable, non-UTF-8 or non-replay file;
+    a torn tail is not an error (the intact prefix is returned with
+    ``complete=False``).
     """
     path = Path(path)
     try:
         text = path.read_text()
     except FileNotFoundError:
         raise ReplayFormatError(f"{path}: no such replay log") from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ReplayFormatError(f"{path}: unreadable ({exc})") from exc
     try:
         return loads_replay(text)

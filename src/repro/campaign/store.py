@@ -49,9 +49,10 @@ Durability is crash-tolerant in the append-only style the store has
 always had: the manifest is written (flushed + fsynced) *before* a data
 file goes live; a torn trailing line — the signature of a hard kill
 mid-append — is detected on replay and amputated, for the manifest,
-segments and WAL alike; and no acknowledged write (one whose
-``put``/``put_batch`` returned) is ever lost, because acknowledgement
-happens strictly after the WAL fsync.
+segments and WAL alike, by the line scanner and tail repair of
+:mod:`repro.campaign.durable` (shared with the serve task journal); and
+no acknowledged write (one whose ``put``/``put_batch`` returned) is
+ever lost, because acknowledgement happens strictly after the WAL fsync.
 
 Replay-log sidecars: a record carrying a ``replay_log`` (the
 :mod:`repro.replay` observation stream of a profiled run) has the log
@@ -71,12 +72,22 @@ transparently; their segments are treated as level 0.
 from __future__ import annotations
 
 import json
-import os
 import re
 import threading
 from collections.abc import Callable, Iterable
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any
+from typing import IO, TYPE_CHECKING
+
+from .durable import (
+    Decode,
+    damage_kind,
+    fsync,
+    plain,
+    read,
+    repair_tail,
+    scan,
+    unframe,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.metrics import MetricsRegistry
@@ -101,11 +112,6 @@ _WAL_RE = re.compile(r"^wal-(\d{8})\.log$")
 DEFAULT_LEVEL_TRIGGER = 4
 #: deepest level; folds out of it land back in it
 DEFAULT_MAX_LEVEL = 3
-
-
-def _fsync(fh: IO[Any]) -> None:
-    fh.flush()
-    os.fsync(fh.fileno())
 
 
 class MemoryStore:
@@ -236,72 +242,16 @@ class ResultStore:
         if self._crash_hook is not None:
             self._crash_hook(step)
 
-    def _replay_lines(self, path: Path) -> tuple[list[dict], int]:
-        """Parse JSON lines, stopping at the first torn/corrupt line.
-
-        Returns ``(entries, valid_bytes)`` — the intact prefix length,
-        so the caller can amputate a torn tail before appending again.
-        """
-        entries: list[dict] = []
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            return entries, 0
-        offset = 0
-        for line in raw.split(b"\n"):
-            length = len(line)
-            if line.strip():
-                try:
-                    entry = json.loads(line)
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    # torn tail from a hard kill mid-append; everything
-                    # before it is intact, everything after is garbage
-                    return entries, offset
-                if not isinstance(entry, dict):
-                    # parseable junk (a bare scalar) is still junk
-                    return entries, offset
-                entries.append(entry)
-            offset += length + 1  # the newline
-        return entries, min(offset, len(raw))
-
-    def _amputate(self, path: Path, valid: int) -> int:
-        """Make ``path`` safe to append to after a torn tail.
-
-        Cuts everything past the ``valid`` prefix, then terminates an
-        unterminated final line — a cut can land exactly at end-of-line
-        but before the newline, leaving a parseable last record that the
-        next append would otherwise glue onto, destroying both on the
-        following replay.  Returns the resulting file size.
-        """
-        try:
-            size = path.stat().st_size
-        except FileNotFoundError:
-            return 0
-        with path.open("ab") as fh:
-            if size > valid:
-                fh.truncate(valid)
-                size = valid
-            if size:
-                with path.open("rb") as rfh:
-                    rfh.seek(size - 1)
-                    terminated = rfh.read(1) == b"\n"
-                if not terminated:
-                    fh.write(b"\n")
-                    _fsync(fh)
-                    size += 1
-        return size
-
     def _recover(self) -> None:
         live: list[str] = []
         levels: dict[str, int] = {}
         manifest = self.root / self.MANIFEST
-        manifest_entries, manifest_valid = self._replay_lines(manifest)
-        if manifest.exists():
-            # repair the tail NOW: the next manifest append would
-            # otherwise glue onto a torn or unterminated line, and both
-            # the garbage and the new entry would be unreadable on replay
-            self._amputate(manifest, manifest_valid)
-        for entry in manifest_entries:
+        found = scan(read(manifest), plain)
+        # repair the tail NOW: the next manifest append would otherwise
+        # glue onto a torn or unterminated line, and both the garbage
+        # and the new entry would be unreadable on replay
+        repair_tail(manifest, found.valid)
+        for entry in found.entries:
             op = entry.get("op")
             segment = entry.get("segment")
             if isinstance(segment, str):
@@ -345,15 +295,15 @@ class ResultStore:
             # torn tail from a hard kill mid-append (legacy stores
             # appended records straight to the live segment): cut the
             # garbage off so the file stays parseable forever
-            self._amputate(self.root / live[-1], valid_sizes[live[-1]])
+            repair_tail(self.root / live[-1], valid_sizes[live[-1]])
         # WAL replay: every wal file on disk is replayed (a manifested
         # drop whose unlink never happened only re-applies writes the
         # segments already hold — the seq comparison absorbs them) and
         # entries newer than the flushed state rebuild the memtable
         for name in sorted(wal_names):
-            entries, valid = self._replay_lines(self.root / name)
-            self._amputate(self.root / name, valid)
-            for entry in entries:
+            found = scan(read(self.root / name), plain)
+            repair_tail(self.root / name, found.valid)
+            for entry in found.entries:
                 key = entry.get("key")
                 if not isinstance(key, str):
                     continue
@@ -380,41 +330,28 @@ class ResultStore:
             self._wal_bytes = (self.root / self._wal).stat().st_size
 
     def _scan_segment(self, segment: str) -> int:
-        """Index one segment; returns the length of its valid prefix."""
-        path = self.root / segment
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            # manifested before its first write, then crashed: legal,
-            # just empty
-            return 0
-        offset = 0
-        for line in raw.split(b"\n"):
-            length = len(line)
-            if line.strip():
-                try:
-                    entry = json.loads(line)
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    return offset  # torn tail starts here
-                if not isinstance(entry, dict):
-                    return offset  # parseable junk: still a torn tail
-                key = entry.get("key")
-                if isinstance(key, str):
-                    seq = int(entry.get("seq", 0))
-                    self._next_seq = max(self._next_seq, seq + 1)
-                    prev = self._index.get(key)
-                    if prev is None:
-                        self._index[key] = (seq, segment, offset, length)
-                    elif seq > prev[0]:
-                        self.superseded += 1
-                        self._index[key] = (seq, segment, offset, length)
-                    elif seq < prev[0]:
-                        self.superseded += 1
-                    # seq == prev: the same write found twice (a flush
-                    # that crashed before dropping its WAL) — a dedupe,
-                    # not a supersession
-            offset += length + 1  # the newline
-        return min(offset, len(raw))
+        """Index one segment; returns the length of its valid prefix.
+        A missing file (manifested before its first write, then
+        crashed) is legal, just empty."""
+        found = scan(read(self.root / segment), plain)
+        for offset, length, entry in found.lines:
+            key = entry.get("key")
+            if not isinstance(key, str):
+                continue
+            seq = int(entry.get("seq", 0))
+            self._next_seq = max(self._next_seq, seq + 1)
+            prev = self._index.get(key)
+            if prev is None:
+                self._index[key] = (seq, segment, offset, length)
+            elif seq > prev[0]:
+                self.superseded += 1
+                self._index[key] = (seq, segment, offset, length)
+            elif seq < prev[0]:
+                self.superseded += 1
+            # seq == prev: the same write found twice (a flush that
+            # crashed before dropping its WAL) — a dedupe, not a
+            # supersession
+        return found.valid
 
     # ----------------------------------------------------- manifest + WAL
 
@@ -422,7 +359,7 @@ class ResultStore:
         with self._manifest_mu, \
                 (self.root / self.MANIFEST).open("ab") as fh:
             fh.write(json.dumps(doc, sort_keys=True).encode() + b"\n")
-            _fsync(fh)
+            fsync(fh)
 
     def _open_wal(self) -> None:
         """Start a fresh WAL (manifested before its first byte).
@@ -448,7 +385,7 @@ class ResultStore:
         self._crash("wal-append")
         blob = b"".join(line + b"\n" for line in lines)
         self._wal_fh.write(blob)
-        _fsync(self._wal_fh)
+        fsync(self._wal_fh)
         self._wal_bytes += len(blob)
 
     # ------------------------------------------------------------- writing
@@ -596,7 +533,7 @@ class ResultStore:
             with path.open("wb") as fh:
                 fh.write(b"".join(snapshot[key][1] + b"\n"
                                   for key in ordered))
-                _fsync(fh)
+                fsync(fh)
             self._crash("flush-manifest")
             self._append_manifest({"op": "add", "segment": segment,
                                    "level": 0})
@@ -643,29 +580,19 @@ class ResultStore:
 
     def _fold(self, inputs: list[str]) -> dict[str, tuple[int, bytes]]:
         """Newest record per key across ``inputs`` — immutable files,
-        read with no lock held."""
+        read with no lock held, each up to its first bad line (the
+        prefix recovery indexed)."""
         folded: dict[str, tuple[int, bytes]] = {}
         for segment in inputs:
-            try:
-                raw = (self.root / segment).read_bytes()
-            except FileNotFoundError:  # pragma: no cover - defensive
-                continue
-            for line in raw.split(b"\n"):
-                if not line.strip():
-                    continue
-                try:
-                    entry = json.loads(line)
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    continue  # torn tails are amputated on recovery
-                if not isinstance(entry, dict):
-                    continue
+            raw = read(self.root / segment)
+            for offset, length, entry in scan(raw, plain).lines:
                 key = entry.get("key")
                 if not isinstance(key, str):
                     continue
                 seq = int(entry.get("seq", 0))
                 prev = folded.get(key)
                 if prev is None or seq > prev[0]:
-                    folded[key] = (seq, bytes(line))
+                    folded[key] = (seq, raw[offset:offset + length])
         return folded
 
     def compact_level(self, level: int) -> int:
@@ -713,7 +640,7 @@ class ResultStore:
             with path.open("wb") as fh:
                 fh.write(b"".join(line + b"\n"
                                   for _, _, line in survivors))
-                _fsync(fh)
+                fsync(fh)
             self._crash("compact-manifest")
             self._append_manifest({"op": "add", "segment": segment,
                                    "level": out_level})
@@ -814,13 +741,12 @@ class ResultStore:
                 line = fh.read(length)
         finally:
             self._unpin(segment)
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+        doc = plain(line)
+        record = None if doc is None else doc.get("record")
+        if not isinstance(record, dict):
             raise StoreError(
-                f"corrupt record for {key[:12]} in {segment}@{offset}"
-            ) from exc
-        return self._resolve_replay(doc["record"])
+                f"corrupt record for {key[:12]} in {segment}@{offset}")
+        return self._resolve_replay(record)
 
     def fetch(self, key: str) -> dict | None:
         """Read without touching the hit/miss counters (plumbing reads:
@@ -974,63 +900,6 @@ class ResultStore:
 # --------------------------------------------------------------- scrubbing
 
 
-def _valid_prefix(
-    path: Path,
-    check: Callable[[bytes], dict | None] | None = None,
-) -> tuple[list[dict], int, int]:
-    """Parse a JSON-lines file like ``_replay_lines`` does, plus how
-    many bytes sit past the valid prefix: ``(entries, valid, excess)``.
-
-    ``check`` swaps in a stricter per-line decoder (e.g. the task
-    journal's CRC framing) returning the entry or ``None`` on damage —
-    scrub must reach the same verdict the file's own recovery would.
-    """
-    entries: list[dict] = []
-    try:
-        raw = path.read_bytes()
-    except (FileNotFoundError, OSError):
-        return entries, 0, 0
-    offset = 0
-    for line in raw.split(b"\n"):
-        length = len(line)
-        if line.strip():
-            if check is not None:
-                entry = check(bytes(line))
-            else:
-                try:
-                    entry = json.loads(line)
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    entry = None
-                if not isinstance(entry, dict):
-                    entry = None
-            if entry is None:
-                return entries, offset, len(raw) - offset
-            entries.append(entry)
-        offset += length + 1
-    return entries, min(offset, len(raw)), 0
-
-
-def _damage_kind(path: Path, valid: int) -> str:
-    """Classify bytes past the valid prefix: a ``torn`` tail (hard-kill
-    debris — parseable records never follow it) versus mid-file
-    ``corrupt`` damage (intact records *after* the bad line mean a
-    recovery would silently drop them — bit rot, not a crash)."""
-    raw = path.read_bytes()[valid:]
-    bad_seen = False
-    for line in raw.split(b"\n"):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            bad_seen = True
-            continue
-        if isinstance(entry, dict) and bad_seen:
-            return "corrupt"
-        bad_seen = True
-    return "torn"
-
-
 def _quarantine(root: Path, name: str) -> None:
     target = root / "quarantine" / name
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -1051,15 +920,20 @@ def scrub_files(root: str | Path, repair: bool = False) -> dict:
     * **replay sidecars** — each ``replay/*.rlog`` passes the replay
       reader's per-line CRC + manifest-digest verification (sidecars
       are written whole, so an incomplete one is corrupt, not torn);
-    * **task journal** — ``serve-journal.log`` passes the serve
-      layer's per-line CRC check — the same verdict its recovery
-      reaches, so a flipped bit that still parses as JSON counts as
-      damage here too.
+    * **task journal** — ``serve-journal.log`` passes the per-line CRC
+      check of :func:`~repro.campaign.durable.unframe` — the same
+      verdict its recovery reaches, so a flipped bit that still parses
+      as JSON counts as damage here too.
 
-    With ``repair=True``, torn tails are amputated in place (exactly
-    what recovery would do) and corrupt sidecars + orphan segments are
-    moved to ``<root>/quarantine/`` — never deleted.  Run repair only
-    against a drained store: a live daemon's readers may pin segments.
+    Segments, WALs and the manifest carry no CRC: a flipped byte that
+    leaves valid JSON passes both recovery and scrub.
+
+    With ``repair=True``, a damaged manifest, segment, WAL or journal is
+    truncated to its valid prefix (exactly what recovery would do; for
+    a ``corrupt`` file that drops the intact records after the bad
+    line), and corrupt sidecars + orphan segments are moved to
+    ``<root>/quarantine/`` — never deleted.  Run repair only against a
+    drained store: a live daemon's readers may pin segments.
 
     Returns a report dict whose ``summary`` block is what
     ``stats()``/obs metrics surface; ``summary["corrupt"] == 0`` and
@@ -1071,35 +945,42 @@ def scrub_files(root: str | Path, repair: bool = False) -> dict:
     torn = corrupt = orphans = repaired = records = 0
     live: set[str] = set()
 
-    def note(name: str, entries: list[dict], valid: int,
-             excess: int) -> None:
-        nonlocal torn, corrupt, repaired
+    def check(path: Path, decode: Decode = plain,
+              orphan: bool = False) -> list[dict]:
+        """Scan one line file with the decoder its own recovery uses,
+        so scrub reaches the same verdict; returns its intact entries."""
+        nonlocal torn, corrupt, orphans, repaired
+        raw = read(path)
+        found = scan(raw, decode)
         state = "ok"
-        if excess:
-            state = _damage_kind(root / name, valid)
+        if orphan:
+            state = "orphan"
+            orphans += 1
+            if repair:
+                _quarantine(root, path.name)
+                repaired += 1
+        elif found.excess:
+            state = damage_kind(raw[found.valid:], decode)
             if state == "torn":
                 torn += 1
             else:
                 corrupt += 1
             if repair:
-                # amputation is exactly the recovery-time repair; do it
-                # for torn tails AND mid-file corruption (the damaged
-                # suffix is unreadable to every reader anyway).  The
-                # valid prefix always ends on a newline, so the file
-                # stays safe to append to.
-                with (root / name).open("ab") as fh:
-                    fh.truncate(valid)
-                    _fsync(fh)
+                # truncation to the valid prefix is exactly the
+                # recovery-time repair; do it for torn tails AND
+                # mid-file corruption (the damaged suffix is unreadable
+                # to every reader anyway)
+                repair_tail(path, found.valid)
                 repaired += 1
-        report["files"][name] = {"state": state, "records": len(entries),
-                                 "valid_bytes": valid,
-                                 "excess_bytes": excess}
+        report["files"][path.name] = {"state": state,
+                                      "records": len(found.lines),
+                                      "valid_bytes": found.valid,
+                                      "excess_bytes": found.excess}
+        return found.entries
 
     manifest = root / ResultStore.MANIFEST
     if manifest.exists():
-        entries, valid, excess = _valid_prefix(manifest)
-        note(ResultStore.MANIFEST, entries, valid, excess)
-        for entry in entries:
+        for entry in check(manifest):
             segment = entry.get("segment")
             if isinstance(segment, str):
                 if entry.get("op") == "add":
@@ -1107,33 +988,14 @@ def scrub_files(root: str | Path, repair: bool = False) -> dict:
                 elif entry.get("op") == "drop":
                     live.discard(segment)
     for path in sorted(root.glob("seg-*.jsonl")):
-        entries, valid, excess = _valid_prefix(path)
-        records += len(entries)
-        if path.name not in live:
-            orphans += 1
-            report["files"][path.name] = {"state": "orphan",
-                                          "records": len(entries),
-                                          "valid_bytes": valid,
-                                          "excess_bytes": excess}
-            if repair:
-                _quarantine(root, path.name)
-                repaired += 1
-            continue
-        note(path.name, entries, valid, excess)
+        records += len(check(path, orphan=path.name not in live))
     for path in sorted(root.glob("wal-*.log")):
-        entries, valid, excess = _valid_prefix(path)
-        records += len(entries)
-        note(path.name, entries, valid, excess)
+        records += len(check(path))
     journal = root / "serve-journal.log"
     if journal.exists():
-        from ..serve.journal import TaskJournal
-
         # CRC-framed: a bit flip that still parses as JSON is damage
-        # the journal's own recovery would truncate, so scrub must not
-        # call it ok
-        entries, valid, excess = _valid_prefix(
-            journal, check=TaskJournal._check_line)
-        note(journal.name, entries, valid, excess)
+        # the journal's own recovery would truncate
+        check(journal, unframe)
     replay_dir = root / ResultStore.REPLAY_DIR
     sidecars = 0
     if replay_dir.is_dir():

@@ -15,7 +15,10 @@ inject above the simulator:
   the client's ``since``-cursor resume;
 * **store byte corruption** — a seeded byte in a live segment and in a
   ``.rlog`` sidecar is zeroed, exercising ``repro store scrub``
-  detection and ``--repair`` quarantine.
+  detection and ``--repair`` quarantine;
+* **pool worker SIGKILL** — a live HTTP daemon takes two suites from
+  two concurrent clients while one of its pool worker processes is
+  killed mid-job, exercising the scheduler's pool rebuild and retry.
 
 :func:`run_service_drill` executes the plan and asserts the service
 invariants the tentpole promises:
@@ -23,13 +26,16 @@ invariants the tentpole promises:
 1. **no acked submission lost** — if ``submit`` returned, the restarted
    daemon resolves the pre-crash campaign id and completes it;
 2. **results byte-identical to the serial CLI** — recovered records and
-   ``.rlog`` sidecars match a crash-free serial run byte for byte;
+   ``.rlog`` sidecars match a crash-free ``repro campaign`` run byte
+   for byte, and a sidecar fetched over HTTP matches its file;
 3. **recovery idempotent** — after a clean close, reopening and closing
    the daemon again changes no byte on disk;
 4. **stream resume is lossless** — a reset feed replays with contiguous
    event indices and reaches the terminal event;
 5. **corruption is detected and repairable** — scrub reports the
-   damaged files and ``--repair`` leaves a clean store behind.
+   damaged files and ``--repair`` leaves a clean store behind;
+6. **a killed worker costs nothing** — both campaigns finish, and the
+   progress feed streams ``plan`` through ``done`` in index order.
 
 Everything serve/campaign is imported lazily so ``repro.faults`` keeps
 no import-time dependency on the service stack.
@@ -38,10 +44,15 @@ no import-time dependency on the service stack.
 from __future__ import annotations
 
 import json
+import logging
+import multiprocessing
+import os
 import random
 import shutil
+import signal
+import threading
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -63,6 +74,21 @@ DRILL_SUBMISSION: dict[str, Any] = {
     "drop": 0,
     "jobs": 1,
 }
+
+#: the worker-kill cell's two suites, submitted from two concurrent
+#: clients: one reducer DAG (overhead) and one profiled suite producing
+#: .rlog sidecars (figure8); ``jobs`` 2 so there is a pool worker to kill
+WORKER_KILL_SUBMISSIONS: tuple[dict[str, Any], ...] = (
+    {"suite": "overhead", "workloads": ["micro_low_abort"],
+     "n_threads": 2, "scale": 0.25, "runs": 3, "drop": 0, "jobs": 2},
+    {"suite": "figure8", "workloads": ["micro_low_abort",
+                                       "micro_capacity"],
+     "n_threads": 2, "scale": 0.25, "seed": 0, "jobs": 2},
+)
+
+#: ``repro campaign`` flag for each campaign-identity submission field
+_CLI_FLAGS = {"n_threads": "--threads", "scale": "--scale",
+              "seed": "--seed", "runs": "--runs", "drop": "--drop"}
 
 _WAIT_TIMEOUT_S = 300.0
 _POLL_S = 0.02
@@ -228,23 +254,34 @@ def _disk_state(root: Path) -> dict[str, bytes]:
 
 
 def _serial_baseline(
-        root: Path, doc: dict,
+        root: Path, docs: Sequence[dict],
 ) -> tuple[list[str], dict[str, str], dict[str, bytes]]:
-    """Run the campaign exactly as the serial CLI would and capture the
-    byte-identity targets: canonical record JSON per target key plus
-    every ``.rlog`` sidecar."""
-    from ..campaign.scheduler import CampaignRunner
+    """Run each submission through the plain ``repro campaign`` CLI
+    path into ``root`` and capture the byte-identity targets: canonical
+    record JSON per target key plus every ``.rlog`` sidecar."""
     from ..campaign.store import ResultStore
     from ..campaign.suites import build_campaign, submission_kwargs
+    from ..cli import main as cli_main
 
-    suite, kwargs = submission_kwargs(doc)
-    campaign = build_campaign(suite, **kwargs)
-    store = ResultStore(root)
-    try:
-        CampaignRunner(store=store, jobs=1).run(campaign)
-    finally:
-        store.close()
-    keys = list(campaign.targets or list(campaign.jobs))
+    cli_log = logging.getLogger("repro.cli")
+    keys: list[str] = []
+    for doc in docs:
+        suite, kwargs = submission_kwargs(doc)
+        campaign = build_campaign(suite, **kwargs)
+        keys += campaign.targets or list(campaign.jobs)
+        argv = ["-q", "campaign", suite, *(kwargs.get("workloads") or []),
+                "--jobs", "1", "--cache-dir", str(root)]
+        for name, flag in _CLI_FLAGS.items():
+            if name in kwargs:
+                argv += [flag, str(kwargs[name])]
+        level = cli_log.level
+        try:
+            rc = cli_main(argv)
+        finally:
+            cli_log.setLevel(level)  # -q must not silence the caller
+        if rc != 0:
+            raise RuntimeError(f"serial baseline: repro campaign {suite} "
+                               f"exited {rc}")
     records: dict[str, str] = {}
     store = ResultStore(root)
     try:
@@ -274,6 +311,23 @@ def _compare_results(daemon: ServeDaemon, serve_root: Path,
     if serve_rlogs != serial_rlogs:
         return "replay sidecars differ from the serial run"
     return None
+
+
+def _kill_one_worker(stop: threading.Event, killed: list[int]) -> None:
+    """SIGKILL the first pool worker process that appears — the hard
+    death the scheduler must absorb via pool rebuild + retry."""
+    deadline = time.monotonic() + _WAIT_TIMEOUT_S
+    while not stop.is_set() and time.monotonic() < deadline:
+        for child in multiprocessing.active_children():
+            if child.pid is None:
+                continue
+            try:
+                os.kill(child.pid, signal.SIGKILL)
+            except (ProcessLookupError, PermissionError):
+                continue
+            killed.append(child.pid)
+            return
+        time.sleep(_POLL_S)
 
 
 # ----------------------------------------------------- the boundary cell
@@ -491,7 +545,7 @@ def _run_scrub_cell(plan: ServiceChaosPlan, workdir: Path,
 
     name = "scrub-detects-corruption"
     root = workdir / "scrub"
-    _serial_baseline(root, doc)  # a healthy store to damage
+    _serial_baseline(root, [doc])  # a healthy store to damage
     rng = random.Random(plan.seed)
 
     def corrupt(path: Path) -> None:
@@ -528,6 +582,98 @@ def _run_scrub_cell(plan: ServiceChaosPlan, workdir: Path,
                f"{repaired['summary']['repaired']}, clean after")
 
 
+def _run_worker_kill_cell(workdir: Path) -> DrillCell:
+    """Two concurrent clients submit both suites to a live HTTP daemon
+    over a disk store while one pool worker is SIGKILLed; assert both
+    campaigns finish, the progress feed streams in order, and every
+    result is byte-identical to the serial CLI's — on disk and, for
+    one sidecar, over HTTP."""
+    from ..campaign.store import ResultStore
+    from ..serve.client import ServeClient
+    from ..serve.daemon import ServeDaemon
+    from ..serve.server import BackgroundServer
+
+    name = "worker-sigkill"
+    keys, serial_records, serial_rlogs = _serial_baseline(
+        workdir / name / "serial", WORKER_KILL_SUBMISSIONS)
+    serve_root = workdir / name / "serve"
+    daemon = ServeDaemon(store=ResultStore(serve_root, background=True),
+                         runners=2)
+    server = BackgroundServer(daemon)
+    stop = threading.Event()
+    killed: list[int] = []
+    killer = threading.Thread(target=_kill_one_worker,
+                              args=(stop, killed))
+    finals: dict[str, dict] = {}
+
+    def submit_and_wait(client: ServeClient, doc: dict) -> None:
+        accepted = client.submit(doc)
+        finals[doc["suite"]] = client.wait(accepted["id"],
+                                           timeout=_WAIT_TIMEOUT_S)
+
+    def fail(detail: str) -> DrillCell:
+        return DrillCell(name=name, ok=False, detail=detail)
+
+    try:
+        url = f"http://127.0.0.1:{server.start()}"
+        clients = [ServeClient(url) for _ in WORKER_KILL_SUBMISSIONS]
+        submitters = [threading.Thread(target=submit_and_wait,
+                                       args=(client, doc))
+                      for client, doc in zip(clients,
+                                             WORKER_KILL_SUBMISSIONS)]
+        killer.start()
+        for t in submitters:
+            t.start()
+        # stream whichever campaign was accepted first, live
+        events: list[dict] = []
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            campaigns = clients[0].campaigns()
+            if campaigns:
+                events = list(clients[0].stream_events(
+                    campaigns[0]["id"]))
+                break
+            time.sleep(_POLL_S)
+        for t in submitters:
+            t.join(timeout=_WAIT_TIMEOUT_S)
+        stop.set()
+        killer.join(timeout=5.0)
+        for doc in WORKER_KILL_SUBMISSIONS:
+            final = finals.get(doc["suite"])
+            if final is None or final.get("state") != "done":
+                return fail(f"campaign {doc['suite']} final status: "
+                            f"{final}")
+        if not killed:
+            return fail("no pool worker appeared to kill")
+        types = {e.get("type") for e in events}
+        if "plan" not in types or "done" not in types:
+            return fail(f"event stream lacks plan/done: {types}")
+        indices = [e["i"] for e in events]
+        if indices != sorted(indices):
+            return fail("event indices out of order")
+        backend = clients[0].stats()["store"]["backend"]
+        if backend != "disk":
+            return fail(f"/v1/stats reports the {backend!r} backend")
+        diverged = _compare_results(daemon, serve_root, keys,
+                                    serial_records, serial_rlogs)
+        if diverged is not None:
+            return fail(diverged)
+        key = finals["figure8"]["target_keys"][0]
+        sidecar = serve_root / ResultStore.REPLAY_DIR / f"{key}.rlog"
+        if clients[0].rlog(key) != sidecar.read_bytes():
+            return fail(f"sidecar {key[:12]} over HTTP differs from "
+                        "the file")
+        return DrillCell(
+            name=name, ok=True,
+            detail=f"{len(killed)} worker(s) killed; {len(events)} "
+                   f"events in order; {len(keys)} records + "
+                   f"{len(serial_rlogs)} sidecars byte-identical")
+    finally:
+        stop.set()
+        server.stop()
+        daemon.close()
+
+
 # ------------------------------------------------------------- the drill
 
 
@@ -560,7 +706,7 @@ def run_service_drill(
     try:
         serial_root = workdir / "serial"
         keys, serial_records, serial_rlogs = _serial_baseline(
-            serial_root, doc)
+            serial_root, [doc])
         for boundary in plan.resolved_boundaries():
             cell = _run_boundary_cell(boundary, workdir, doc, keys,
                                       serial_records, serial_rlogs)
@@ -568,6 +714,12 @@ def run_service_drill(
             if not cell.ok and artifact_dir is not None:
                 _dump_artifacts(workdir / f"serve-{boundary}",
                                 Path(artifact_dir) / boundary)
+        cell = _run_worker_kill_cell(workdir)
+        report.cells.append(cell)
+        if not cell.ok and artifact_dir is not None:
+            # both stores: the serial baseline and the service's
+            _dump_artifacts(workdir / cell.name,
+                            Path(artifact_dir) / cell.name)
         if plan.stream_resets:
             report.cells.append(_run_stream_cell(plan, doc))
         if plan.corrupt_bytes:

@@ -27,9 +27,8 @@ Modules:
 - :mod:`repro.serve.server` — the asyncio front end and routes.
 - :mod:`repro.serve.client` — a stdlib ``http.client`` client (with
   jittered retries and stream resume) used by ``repro submit`` /
-  ``repro status --url`` and the tests.
-- :mod:`repro.serve.smoke` — the CI smoke driver
-  (``python -m repro.serve.smoke``).
+  ``repro status --url``, the ``repro chaos --serve`` drill and the
+  tests.
 """
 
 from .client import ServeClient, ServeError

@@ -1,10 +1,10 @@
 """A stdlib client for the serve daemon.
 
 ``http.client`` only — the same no-new-deps rule as the server.  Used
-by ``repro submit`` / ``repro status --url``, the smoke driver, and the
-tests.  One :class:`ServeClient` per base URL; each call opens its own
-connection (the server speaks ``Connection: close``), so a client
-instance is safe to share across threads.
+by ``repro submit`` / ``repro status --url``, the ``repro chaos
+--serve`` drill, and the tests.  One :class:`ServeClient` per base URL;
+each call opens its own connection (the server speaks ``Connection:
+close``), so a client instance is safe to share across threads.
 
 Resilience: idempotent GETs retry with seeded full-jitter backoff on
 transport errors and on the daemon's backpressure answers (429/503

@@ -45,8 +45,8 @@ Determinism note (the paper's observation boundary): a job executes in
 a worker process seeded entirely from its JobSpec, whether the spec
 arrived over HTTP, from the CLI, or from journal recovery — so
 service-side records and their ``.rlog`` sidecars are byte-identical
-to serial ones, and the smoke test and the ``repro chaos --serve``
-drill assert exactly that.
+to serial ones, and the ``repro chaos --serve`` drill asserts exactly
+that.
 """
 
 from __future__ import annotations

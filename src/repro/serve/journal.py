@@ -9,19 +9,15 @@ dead process's leases, and resumes unfinished campaigns through the
 content-addressed result store (republication is idempotent: finished
 jobs are cache hits).
 
-The file reuses the conventions of the sibling stores:
-
-* **torn-tail amputation** (``repro.campaign.store``) — JSON lines;
-  replay stops at the first unparseable line and truncates the file
-  back to the intact prefix, then newline-terminates it so the next
-  append can never glue onto a torn record.
-* **per-line CRC** (``repro.replay.log``) — each line wraps its entry
-  as ``{"c": crc32(canonical entry), "j": {...}}``; a flipped bit is
-  contained exactly like a torn tail.
-* **group commit** (the store's ``put_batch``) — concurrent appenders
-  enqueue their entries and one leader writes the whole batch under a
-  single ``fsync``; every appender still returns only after *its* entry
-  is durable.  One transition, one fsync — amortized under load.
+Each line is a CRC frame ``{"c": <crc32>, "j": <entry>}`` in the line
+format of :mod:`repro.campaign.durable`, which also reads it back:
+replay stops at the first torn or CRC-failing line, truncates the file
+to the intact prefix and newline-terminates it, so a flipped bit is
+contained like a torn tail and the next append can never glue onto a
+torn record.  Writes use group commit: concurrent appenders enqueue
+their entries and one leader writes the whole batch under a single
+``fsync``; every appender still returns only after *its* entry is
+durable.  One transition, one fsync — amortized under load.
 
 Crash boundaries: a test/chaos ``crash_hook`` fires at two named points
 per transition — ``journal-<type>`` before the bytes reach the file
@@ -34,15 +30,13 @@ in-process analogue of ``kill -9``.
 
 from __future__ import annotations
 
-import json
 import threading
-import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
-from ..campaign.store import _fsync
+from ..campaign.durable import frame, fsync, read, repair_tail, scan, unframe
 
 #: the journaled lifecycle, in order (terminal states last)
 TASK_STATES = ("accepted", "running", "publishing", "done", "failed")
@@ -108,13 +102,6 @@ class JournalState:
                    if rec.state in ("running", "publishing"))
 
 
-def _encode(entry: dict) -> bytes:
-    payload = json.dumps(entry, sort_keys=True)
-    line = json.dumps({"c": zlib.crc32(payload.encode()), "j": entry},
-                      sort_keys=True)
-    return line.encode() + b"\n"
-
-
 class TaskJournal:
     """Append-only, CRC-framed, group-committed task lifecycle log."""
 
@@ -146,85 +133,16 @@ class TaskJournal:
         if self._crash_hook is not None:
             self._crash_hook(step)
 
-    def _replay(self) -> tuple[list[dict], int]:
-        """Parse the journal, stopping at the first torn or corrupt
-        line (bad JSON, bad shape, or CRC mismatch).  Returns
-        ``(entries, valid_bytes)`` like the store's ``_replay_lines``.
-        """
-        entries: list[dict] = []
-        try:
-            raw = self.path.read_bytes()
-        except FileNotFoundError:
-            return entries, 0
-        offset = 0
-        for line in raw.split(b"\n"):
-            length = len(line)
-            if line.strip():
-                entry = self._check_line(bytes(line))
-                if entry is None:
-                    return entries, offset
-                entries.append(entry)
-            offset += length + 1
-        return entries, min(offset, len(raw))
-
-    @staticmethod
-    def _check_line(line: bytes) -> dict | None:
-        """Decode one CRC-framed line; None on any damage."""
-        try:
-            frame = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(frame, dict) or not isinstance(frame.get("j"),
-                                                         dict):
-            return None
-        entry = frame["j"]
-        payload = json.dumps(entry, sort_keys=True)
-        if zlib.crc32(payload.encode()) != frame.get("c"):
-            return None  # flipped bit: contained like a torn tail
-        return dict(entry)
-
-    def _amputate(self, valid: int) -> None:
-        """Truncate past the intact prefix and newline-terminate, so
-        the next append never glues onto a torn record.
-
-        The termination matters even when nothing is truncated: a torn
-        write can end exactly at the end of a complete record, missing
-        only the trailing newline.  Appending onto that line would fuse
-        two records, and the next replay would drop *both* — including
-        the acked, durable one.
-        """
-        try:
-            size = self.path.stat().st_size
-        except FileNotFoundError:
-            return
-        with self.path.open("ab") as fh:
-            dirty = False
-            if size > valid:
-                fh.truncate(valid)
-                size = valid
-                dirty = True
-            if size:
-                with self.path.open("rb") as rfh:
-                    rfh.seek(size - 1)
-                    if rfh.read(1) != b"\n":
-                        fh.write(b"\n")
-                        dirty = True
-            if dirty:
-                _fsync(fh)
-
     # ------------------------------------------------------------ recovery
 
     def recover(self) -> JournalState:
         """Replay the journal into a folded :class:`JournalState`,
         repairing any torn tail in place.  Safe to call exactly once,
         before the first append."""
-        entries, valid = self._replay()
-        try:
-            torn = max(0, self.path.stat().st_size - valid)
-        except FileNotFoundError:
-            torn = 0
-        self._amputate(valid)
-        state = JournalState(torn_bytes=torn)
+        found = scan(read(self.path), unframe)
+        repair_tail(self.path, found.valid)
+        state = JournalState(torn_bytes=found.excess)
+        entries = found.entries
         for entry in sorted(entries, key=lambda e: int(e.get("seq", 0))):
             seq = int(entry.get("seq", 0))
             self._next_seq = max(self._next_seq, seq + 1)
@@ -290,7 +208,7 @@ class TaskJournal:
             seq = self._next_seq
             self._next_seq += 1
             entry: dict = {"seq": seq, "type": entry_type, **fields}
-            self._pending.append((seq, _encode(entry)))
+            self._pending.append((seq, frame(entry)))
         self._crash(f"journal-{entry_type}")
         with self._io:
             with self._mu:
@@ -306,7 +224,7 @@ class TaskJournal:
                 if self._fh is None:
                     self._fh = self.path.open("ab")
                 self._fh.write(b"".join(batch))
-                _fsync(self._fh)
+                fsync(self._fh)
                 with self._mu:
                     self.fsyncs += 1
                     self._durable_seq = max(self._durable_seq, top)
@@ -339,7 +257,7 @@ class TaskJournal:
                               "submitted_at": rec.submitted_at}
             if rec.deadline is not None:
                 accepted["deadline"] = rec.deadline
-            lines.append(_encode(accepted))
+            lines.append(frame(accepted))
             if rec.state == "accepted":
                 continue
             seq += 1
@@ -352,17 +270,17 @@ class TaskJournal:
             elif rec.state == "failed":
                 entry.update(error=rec.error,
                              finished_at=rec.finished_at)
-            lines.append(_encode(entry))
+            lines.append(frame(entry))
         if state.epoch:
             seq += 1
-            lines.append(_encode({"seq": seq, "type": "epoch",
+            lines.append(frame({"seq": seq, "type": "epoch",
                                   "epoch": state.epoch}))
         tmp = self.path.with_suffix(".tmp")
         with self._io:
             self._crash("journal-snapshot")
             with tmp.open("wb") as fh:
                 fh.write(b"".join(lines))
-                _fsync(fh)
+                fsync(fh)
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None

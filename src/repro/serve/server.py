@@ -360,7 +360,7 @@ class HttpFrontend:
 class BackgroundServer:
     """The front end hosted on a dedicated event-loop thread.
 
-    Lets synchronous code (tests, the smoke driver) run a live server
+    Lets synchronous code (tests, the chaos drill) run a live server
     next to blocking clients in one process::
 
         server = BackgroundServer(daemon)

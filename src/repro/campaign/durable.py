@@ -10,7 +10,8 @@ stay with the owners.
 
 Two line decoders cover both layouts:
 
-* :func:`plain` — one JSON object per line (store MANIFEST, WAL,
+* :func:`plain` — one JSON object per line (store MANIFEST; the
+  store's ``record_line`` narrows it to record lines for its WALs and
   segments);
 * :func:`unframe` — the journal's CRC frame ``{"c": <crc>, "j": <entry>}``
   as :func:`frame` writes it.  The CRC-32 is checked over the ``"j"``
@@ -118,10 +119,13 @@ def unframe(line: bytes) -> dict | None:
 
 def damage_kind(tail: bytes, decode: Decode) -> str:
     """Classify the bytes past a valid prefix: ``torn`` (hard-kill
-    debris — no intact record follows the bad line) or ``corrupt``
-    (intact records after it, which a recovery silently drops)."""
+    debris — a cut line, and no intact record after it) or ``corrupt``
+    (a bad line that is still a whole JSON object, which no cut leaves
+    behind, or intact records after the bad line, which a recovery
+    silently drops)."""
     lines = [line for line in tail.split(b"\n") if line.strip()]
-    if any(decode(line) is not None for line in lines[1:]):
+    if plain(lines[0]) is not None or any(
+            decode(line) is not None for line in lines[1:]):
         return "corrupt"
     return "torn"
 

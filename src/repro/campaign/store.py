@@ -114,6 +114,19 @@ DEFAULT_LEVEL_TRIGGER = 4
 DEFAULT_MAX_LEVEL = 3
 
 
+def record_line(line: bytes) -> dict | None:
+    """Decode one segment or WAL line, ``{"seq": n, "key": h,
+    "record": {...}}``; None unless all three are there with those
+    types.  Recovery, :meth:`ResultStore._read` and scrub all judge a
+    line by this one decoder, so they reach one verdict."""
+    entry = plain(line)
+    if (entry is None or not isinstance(entry.get("seq"), int)
+            or not isinstance(entry.get("key"), str)
+            or not isinstance(entry.get("record"), dict)):
+        return None
+    return entry
+
+
 class MemoryStore:
     """Dict-backed stand-in with the same interface (``--no-cache``)."""
 
@@ -301,13 +314,10 @@ class ResultStore:
         # segments already hold — the seq comparison absorbs them) and
         # entries newer than the flushed state rebuild the memtable
         for name in sorted(wal_names):
-            found = scan(read(self.root / name), plain)
+            found = scan(read(self.root / name), record_line)
             repair_tail(self.root / name, found.valid)
             for entry in found.entries:
-                key = entry.get("key")
-                if not isinstance(key, str):
-                    continue
-                seq = int(entry.get("seq", 0))
+                key, seq = entry["key"], entry["seq"]
                 self._next_seq = max(self._next_seq, seq + 1)
                 indexed = self._index.get(key)
                 if indexed is not None and indexed[0] >= seq:
@@ -333,12 +343,9 @@ class ResultStore:
         """Index one segment; returns the length of its valid prefix.
         A missing file (manifested before its first write, then
         crashed) is legal, just empty."""
-        found = scan(read(self.root / segment), plain)
+        found = scan(read(self.root / segment), record_line)
         for offset, length, entry in found.lines:
-            key = entry.get("key")
-            if not isinstance(key, str):
-                continue
-            seq = int(entry.get("seq", 0))
+            key, seq = entry["key"], entry["seq"]
             self._next_seq = max(self._next_seq, seq + 1)
             prev = self._index.get(key)
             if prev is None:
@@ -585,11 +592,8 @@ class ResultStore:
         folded: dict[str, tuple[int, bytes]] = {}
         for segment in inputs:
             raw = read(self.root / segment)
-            for offset, length, entry in scan(raw, plain).lines:
-                key = entry.get("key")
-                if not isinstance(key, str):
-                    continue
-                seq = int(entry.get("seq", 0))
+            for offset, length, entry in scan(raw, record_line).lines:
+                key, seq = entry["key"], entry["seq"]
                 prev = folded.get(key)
                 if prev is None or seq > prev[0]:
                     folded[key] = (seq, raw[offset:offset + length])
@@ -741,12 +745,11 @@ class ResultStore:
                 line = fh.read(length)
         finally:
             self._unpin(segment)
-        doc = plain(line)
-        record = None if doc is None else doc.get("record")
-        if not isinstance(record, dict):
+        doc = record_line(line)
+        if doc is None:
             raise StoreError(
                 f"corrupt record for {key[:12]} in {segment}@{offset}")
-        return self._resolve_replay(record)
+        return self._resolve_replay(doc["record"])
 
     def fetch(self, key: str) -> dict | None:
         """Read without touching the hit/miss counters (plumbing reads:
@@ -912,10 +915,11 @@ def scrub_files(root: str | Path, repair: bool = False) -> dict:
     Checks, without opening a live store:
 
     * **manifest** — parseable JSON lines all the way down;
-    * **segments** — each manifest-live segment parses cleanly; any
+    * **segments** — each manifest-live segment decodes cleanly with
+      :func:`record_line`, the decoder recovery and reads use; any
       ``seg-*.jsonl`` the manifest doesn't reference is an *orphan*
       (crash-abandoned zombie — its records were compacted elsewhere);
-    * **WALs** — every ``wal-*.log`` parses cleanly (recovery replays
+    * **WALs** — every ``wal-*.log`` decodes the same way (recovery replays
       them all, so damage here is damage to un-flushed acked writes);
     * **replay sidecars** — each ``replay/*.rlog`` passes the replay
       reader's per-line CRC + manifest-digest verification (sidecars
@@ -926,7 +930,8 @@ def scrub_files(root: str | Path, repair: bool = False) -> dict:
       as JSON counts as damage here too.
 
     Segments, WALs and the manifest carry no CRC: a flipped byte that
-    leaves valid JSON passes both recovery and scrub.
+    leaves a valid line (say, inside a string value) passes both
+    recovery and scrub.
 
     With ``repair=True``, a damaged manifest, segment, WAL or journal is
     truncated to its valid prefix (exactly what recovery would do; for
@@ -988,9 +993,10 @@ def scrub_files(root: str | Path, repair: bool = False) -> dict:
                 elif entry.get("op") == "drop":
                     live.discard(segment)
     for path in sorted(root.glob("seg-*.jsonl")):
-        records += len(check(path, orphan=path.name not in live))
+        records += len(check(path, record_line,
+                             orphan=path.name not in live))
     for path in sorted(root.glob("wal-*.log")):
-        records += len(check(path))
+        records += len(check(path, record_line))
     journal = root / "serve-journal.log"
     if journal.exists():
         # CRC-framed: a bit flip that still parses as JSON is damage

@@ -39,6 +39,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import closing
 
 from . import htmbench
 from .campaign.scheduler import CampaignError, CampaignRunner, RetryPolicy
@@ -1069,28 +1070,32 @@ def cmd_measure_overhead(args) -> int:
                    f"(need runs > {2 * drop})")
         return 2
     runner = _make_runner(args)
-    try:
-        campaign = build_campaign(
-            "overhead", n_threads=args.threads, scale=args.scale,
-            workloads=names, runs=args.runs, drop=drop,
-        )
-        records = runner.run(campaign)
-    except CampaignError as exc:
-        _log.error(str(exc))
-        return 2
-    total = 0.0
-    for name, mean, runs in overhead_rows_from_records(campaign, records):
-        total += mean
-        spread = f"[{min(runs):+.1%}, {max(runs):+.1%}]"
-        _log.info(f"{name:22s} {mean:+8.2%}  {spread}")
-        if args.metrics:
-            extra = cached_run(runner.store, name, n_threads=args.threads,
-                               scale=args.scale, seed=args.seed,
-                               profile=True, metrics=True)
-            _log.info(f"{'':22s}   {_metrics_brief(extra.result.metrics)}")
-    _log.info(f"{'MEAN':22s} {total / len(names):+8.2%}")
-    _campaign_note(runner, campaign.name)
-    return 0
+    with closing(runner.store):
+        try:
+            campaign = build_campaign(
+                "overhead", n_threads=args.threads, scale=args.scale,
+                workloads=names, runs=args.runs, drop=drop,
+            )
+            records = runner.run(campaign)
+        except CampaignError as exc:
+            _log.error(str(exc))
+            return 2
+        total = 0.0
+        for name, mean, runs in overhead_rows_from_records(campaign,
+                                                           records):
+            total += mean
+            spread = f"[{min(runs):+.1%}, {max(runs):+.1%}]"
+            _log.info(f"{name:22s} {mean:+8.2%}  {spread}")
+            if args.metrics:
+                extra = cached_run(runner.store, name,
+                                   n_threads=args.threads,
+                                   scale=args.scale, seed=args.seed,
+                                   profile=True, metrics=True)
+                _log.info(f"{'':22s}   "
+                          f"{_metrics_brief(extra.result.metrics)}")
+        _log.info(f"{'MEAN':22s} {total / len(names):+8.2%}")
+        _campaign_note(runner, campaign.name)
+        return 0
 
 
 def cmd_measure_speedup(args) -> int:
@@ -1110,30 +1115,34 @@ def cmd_measure_speedup(args) -> int:
     if not known:
         return rc
     runner = _make_runner(args)
-    try:
-        campaign = build_campaign(
-            "speedup", n_threads=args.threads, scale=args.scale,
-            seed=args.seed, workloads=known,
-        )
-        records = runner.run(campaign)
-    except CampaignError as exc:
-        _log.error(str(exc))
-        return 2
-    for name, opt, paper, s in speedup_rows_from_records(campaign, records):
-        _log.info(f"{name:14s} {s:5.2f}x   (paper: {paper:.2f}x)")
-        if args.metrics:
-            base = cached_run(runner.store, name, n_threads=args.threads,
-                              scale=args.scale, seed=args.seed,
-                              metrics=True)
-            optimized = cached_run(runner.store, opt,
-                                   n_threads=args.threads,
-                                   scale=args.scale, seed=args.seed,
-                                   metrics=True)
-            _log.info(f"  naive    : {_metrics_brief(base.result.metrics)}")
-            _log.info(f"  optimized: "
-                      f"{_metrics_brief(optimized.result.metrics)}")
-    _campaign_note(runner, campaign.name)
-    return rc
+    with closing(runner.store):
+        try:
+            campaign = build_campaign(
+                "speedup", n_threads=args.threads, scale=args.scale,
+                seed=args.seed, workloads=known,
+            )
+            records = runner.run(campaign)
+        except CampaignError as exc:
+            _log.error(str(exc))
+            return 2
+        for name, opt, paper, s in speedup_rows_from_records(campaign,
+                                                             records):
+            _log.info(f"{name:14s} {s:5.2f}x   (paper: {paper:.2f}x)")
+            if args.metrics:
+                base = cached_run(runner.store, name,
+                                  n_threads=args.threads,
+                                  scale=args.scale, seed=args.seed,
+                                  metrics=True)
+                optimized = cached_run(runner.store, opt,
+                                       n_threads=args.threads,
+                                       scale=args.scale, seed=args.seed,
+                                       metrics=True)
+                _log.info(f"  naive    : "
+                          f"{_metrics_brief(base.result.metrics)}")
+                _log.info(f"  optimized: "
+                          f"{_metrics_brief(optimized.result.metrics)}")
+        _campaign_note(runner, campaign.name)
+        return rc
 
 
 def cmd_table1(args) -> int:
@@ -1148,32 +1157,34 @@ def cmd_table1(args) -> int:
 
 def cmd_figure7(args) -> int:
     runner = _make_runner(args)
-    try:
-        campaign = build_campaign("figure7", n_threads=args.threads,
-                                  scale=args.scale, seed=args.seed)
-        records = runner.run(campaign)
-    except CampaignError as exc:
-        _log.error(str(exc))
-        return 2
-    rc = _render_figure7_rows(clomp_rows_from_records(campaign, records))
-    _campaign_note(runner, campaign.name)
-    return rc
+    with closing(runner.store):
+        try:
+            campaign = build_campaign("figure7", n_threads=args.threads,
+                                      scale=args.scale, seed=args.seed)
+            records = runner.run(campaign)
+        except CampaignError as exc:
+            _log.error(str(exc))
+            return 2
+        rc = _render_figure7_rows(clomp_rows_from_records(campaign, records))
+        _campaign_note(runner, campaign.name)
+        return rc
 
 
 def cmd_figure8(args) -> int:
     from .experiments.categorize import render_figure8
 
     runner = _make_runner(args)
-    try:
-        campaign = build_campaign("figure8", n_threads=args.threads,
-                                  scale=args.scale, seed=args.seed)
-        records = runner.run(campaign)
-    except CampaignError as exc:
-        _log.error(str(exc))
-        return 2
-    _log.info(render_figure8(figure8_rows_from_records(campaign, records)))
-    _campaign_note(runner, campaign.name)
-    return 0
+    with closing(runner.store):
+        try:
+            campaign = build_campaign("figure8", n_threads=args.threads,
+                                      scale=args.scale, seed=args.seed)
+            records = runner.run(campaign)
+        except CampaignError as exc:
+            _log.error(str(exc))
+            return 2
+        _log.info(render_figure8(figure8_rows_from_records(campaign, records)))
+        _campaign_note(runner, campaign.name)
+        return 0
 
 
 def cmd_campaign(args) -> int:
@@ -1193,85 +1204,86 @@ def cmd_campaign(args) -> int:
 
         tracer = Tracer()
     runner = _make_runner(args, tracer=tracer)
-    if args.status:
-        st = runner.status(campaign)
-        if args.json:
-            from .serve.registry import campaign_status_doc
+    with closing(runner.store):
+        if args.status:
+            st = runner.status(campaign)
+            if args.json:
+                from .serve.registry import campaign_status_doc
 
-            submission = {"suite": args.suite, **{
-                k: v for k, v in kwargs.items() if v is not None}}
-            doc = campaign_status_doc(args.suite, campaign,
-                                      "cached" if st["pending"] == 0
-                                      else "pending", submission)
-            doc["cache"] = st
-            print(json.dumps(doc, indent=2, sort_keys=True))
+                submission = {"suite": args.suite, **{
+                    k: v for k, v in kwargs.items() if v is not None}}
+                doc = campaign_status_doc(args.suite, campaign,
+                                          "cached" if st["pending"] == 0
+                                          else "pending", submission)
+                doc["cache"] = st
+                print(json.dumps(doc, indent=2, sort_keys=True))
+                return 0
+            kinds = " ".join(f"{k}={n}" for k, n in
+                             sorted(st["by_kind"].items()))
+            _log.info(f"=== campaign {st['name']} ===")
+            _log.info(f"jobs     : {st['jobs']} ({kinds})")
+            _log.info(f"targets  : {st['targets']}")
+            _log.info(f"cached   : {st['cached']}")
+            _log.info(f"pending  : {st['pending']}")
+            _log.info(f"hit-rate : {st['hit_rate']:.0%}")
+            store = st["store"]
+            detail = " ".join(f"{k}={v}" for k, v in sorted(store.items())
+                              if k not in ("backend", "root"))
+            where = store.get("root") or "memory"
+            _log.info(f"store    : {store['backend']} {where} ({detail})")
             return 0
-        kinds = " ".join(f"{k}={n}" for k, n in
-                         sorted(st["by_kind"].items()))
-        _log.info(f"=== campaign {st['name']} ===")
-        _log.info(f"jobs     : {st['jobs']} ({kinds})")
-        _log.info(f"targets  : {st['targets']}")
-        _log.info(f"cached   : {st['cached']}")
-        _log.info(f"pending  : {st['pending']}")
-        _log.info(f"hit-rate : {st['hit_rate']:.0%}")
-        store = st["store"]
-        detail = " ".join(f"{k}={v}" for k, v in sorted(store.items())
-                          if k not in ("backend", "root"))
-        where = store.get("root") or "memory"
-        _log.info(f"store    : {store['backend']} {where} ({detail})")
-        return 0
-    if args.resume and _log.level <= logging.INFO:
-        plan = runner.plan(campaign)
-        done = len(plan.cached)
-        print(f"[campaign {campaign.name}] resuming: {done}/"
-              f"{done + len(plan.to_run)} jobs already cached",
-              file=sys.stderr)
-    try:
-        records = runner.run(campaign)
-    except CampaignError as exc:
-        _log.error(str(exc))
-        return 1
-    if args.suite == "table1":
-        from .experiments.clomp import render_table1
-
-        _log.info(render_table1())
-        rc = 0
-    elif args.suite == "figure7":
-        rc = _render_figure7_rows(
-            clomp_rows_from_records(campaign, records))
-    elif args.suite == "figure8":
-        from .experiments.categorize import render_figure8
-
-        _log.info(render_figure8(
-            figure8_rows_from_records(campaign, records)))
-        rc = 0
-    elif args.suite == "overhead":
-        total = 0.0
-        rows = overhead_rows_from_records(campaign, records)
-        for name, mean, runs in rows:
-            total += mean
-            spread = f"[{min(runs):+.1%}, {max(runs):+.1%}]"
-            _log.info(f"{name:22s} {mean:+8.2%}  {spread}")
-        _log.info(f"{'MEAN':22s} {total / len(rows):+8.2%}")
-        rc = 0
-    else:  # speedup
-        for name, _opt, paper, s in \
-                speedup_rows_from_records(campaign, records):
-            _log.info(f"{name:14s} {s:5.2f}x   (paper: {paper:.2f}x)")
-        rc = 0
-    _campaign_note(runner, campaign.name)
-    if args.compact:
-        dropped = runner.store.compact()
-        if _log.level <= logging.INFO:
-            print(f"[campaign {campaign.name}] compacted store: "
-                  f"{dropped} superseded record(s) dropped",
+        if args.resume and _log.level <= logging.INFO:
+            plan = runner.plan(campaign)
+            done = len(plan.cached)
+            print(f"[campaign {campaign.name}] resuming: {done}/"
+                  f"{done + len(plan.to_run)} jobs already cached",
                   file=sys.stderr)
-    if tracer is not None:
-        path = tracer.write(args.trace_out)
-        if _log.level <= logging.INFO:
-            print(f"[campaign {campaign.name}] scheduler trace written "
-                  f"to {path}", file=sys.stderr)
-    return rc
+        try:
+            records = runner.run(campaign)
+        except CampaignError as exc:
+            _log.error(str(exc))
+            return 1
+        if args.suite == "table1":
+            from .experiments.clomp import render_table1
+
+            _log.info(render_table1())
+            rc = 0
+        elif args.suite == "figure7":
+            rc = _render_figure7_rows(
+                clomp_rows_from_records(campaign, records))
+        elif args.suite == "figure8":
+            from .experiments.categorize import render_figure8
+
+            _log.info(render_figure8(
+                figure8_rows_from_records(campaign, records)))
+            rc = 0
+        elif args.suite == "overhead":
+            total = 0.0
+            rows = overhead_rows_from_records(campaign, records)
+            for name, mean, runs in rows:
+                total += mean
+                spread = f"[{min(runs):+.1%}, {max(runs):+.1%}]"
+                _log.info(f"{name:22s} {mean:+8.2%}  {spread}")
+            _log.info(f"{'MEAN':22s} {total / len(rows):+8.2%}")
+            rc = 0
+        else:  # speedup
+            for name, _opt, paper, s in \
+                    speedup_rows_from_records(campaign, records):
+                _log.info(f"{name:14s} {s:5.2f}x   (paper: {paper:.2f}x)")
+            rc = 0
+        _campaign_note(runner, campaign.name)
+        if args.compact:
+            dropped = runner.store.compact()
+            if _log.level <= logging.INFO:
+                print(f"[campaign {campaign.name}] compacted store: "
+                      f"{dropped} superseded record(s) dropped",
+                      file=sys.stderr)
+        if tracer is not None:
+            path = tracer.write(args.trace_out)
+            if _log.level <= logging.INFO:
+                print(f"[campaign {campaign.name}] scheduler trace written "
+                      f"to {path}", file=sys.stderr)
+        return rc
 
 
 def _serve_url(args) -> str:

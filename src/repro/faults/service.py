@@ -7,9 +7,13 @@ inject above the simulator:
 
 * **daemon SIGKILL at named journal boundaries** — an in-process
   :class:`~repro.campaign.store.CrashPoint` raised from the task
-  journal's crash hook at each ``journal-<state>[-durable]`` boundary,
-  followed by abandonment of every open file handle (the store's
-  crash-test idiom: nothing flushed, nothing closed cleanly);
+  journal's crash hook at each ``journal-<state>[-durable]`` boundary
+  (``journal-<state>`` before the entry is written; ``-durable`` once
+  its append returns — after the fsync for ``accepted``, ``done``,
+  ``failed`` and ``epoch``, after the write for ``running`` and
+  ``publishing``, which are not fsynced), followed by abandonment of
+  every open file handle (the store's crash-test idiom: nothing
+  flushed, nothing closed cleanly);
 * **mid-stream connection resets** — the HTTP front end hard-aborts
   (RST) the progress-event stream after a flushed batch, exercising
   the client's ``since``-cursor resume;

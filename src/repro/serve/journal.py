@@ -14,16 +14,30 @@ format of :mod:`repro.campaign.durable`, which also reads it back:
 replay stops at the first torn or CRC-failing line, truncates the file
 to the intact prefix and newline-terminates it, so a flipped bit is
 contained like a torn tail and the next append can never glue onto a
-torn record.  Writes use group commit: concurrent appenders enqueue
-their entries and one leader writes the whole batch under a single
-``fsync``; every appender still returns only after *its* entry is
-durable.  One transition, one fsync — amortized under load.
+torn record.
+
+Only what a client can observe is fsynced (:data:`SYNCED`):
+``accepted``, before the HTTP ack, so an acked submission survives any
+crash; ``done`` and ``failed``, so a state a client has seen as
+terminal stays terminal; and ``epoch``.  ``running`` and ``publishing``
+are written and flushed to the OS with no fsync of their own: a
+``kill -9`` keeps them and the next fsync covers them.  Losing one to
+power loss costs nothing a client saw — recovery re-runs the task as
+cache hits, exactly as if the crash had come one step earlier.
+
+Writes use group commit (LevelDB's write batch): concurrent appenders
+enqueue their lines and whichever holds the file lock writes every
+queued line at once.  An appender whose entry is in :data:`SYNCED`
+returns only after an fsync that covered its bytes — its own, or a
+leader's — never merely because another appender wrote them.
 
 Crash boundaries: a test/chaos ``crash_hook`` fires at two named points
 per transition — ``journal-<type>`` before the bytes reach the file
 (the entry is lost with the process) and ``journal-<type>-durable``
-after the fsync (the entry survives, everything in memory after it is
-lost) — plus ``journal-snapshot`` inside the compaction rewrite.
+once the append returns: after the fsync for a synced entry, after
+the write for ``running`` and ``publishing`` (the entry survives a
+process kill, everything in memory after it is lost) — plus
+``journal-snapshot`` inside the compaction rewrite.
 Raising :class:`~repro.campaign.store.CrashPoint` from the hook is the
 in-process analogue of ``kill -9``.
 """
@@ -42,10 +56,14 @@ from ..campaign.durable import frame, fsync, read, repair_tail, scan, unframe
 TASK_STATES = ("accepted", "running", "publishing", "done", "failed")
 #: terminal journal states — a task here needs no recovery
 FINAL_STATES = ("done", "failed")
+#: entries fsynced before :meth:`TaskJournal.append` returns: the ack,
+#: the terminal states a client may have seen, and the lease epoch
+SYNCED = ("accepted", *FINAL_STATES, "epoch")
 
 #: every named crash boundary the journal can die at: before the bytes
-#: hit the file and after the fsync, per transition, plus the snapshot
-#: rewrite.  The chaos drill kills the daemon at each one of these.
+#: hit the file and after the append (fsynced or only written, per
+#: :data:`SYNCED`), per transition, plus the snapshot rewrite.  The
+#: chaos drill kills the daemon at each one of these.
 BOUNDARIES: tuple[str, ...] = tuple(
     f"journal-{t}{suffix}"
     for t in (*TASK_STATES, "epoch")
@@ -118,8 +136,11 @@ class TaskJournal:
         self._mu = threading.Lock()      # seq + pending queue
         self._io = threading.Lock()      # the file handle
         self._fh: IO[bytes] | None = None
-        self._pending: list[tuple[int, bytes]] = []
+        self._pending: list[bytes] = []
         self._next_seq = 1
+        #: every seq up to here is in the file (flushed to the OS)
+        self._written_seq = 0
+        #: every seq up to here is covered by an fsync
         self._durable_seq = 0
         self._closed = False
         # ---- telemetry (stats()) ----
@@ -148,7 +169,7 @@ class TaskJournal:
             self._next_seq = max(self._next_seq, seq + 1)
             self._fold(state, entry)
         state.entries = len(entries)
-        self._durable_seq = self._next_seq - 1
+        self._written_seq = self._durable_seq = self._next_seq - 1
         return state
 
     @staticmethod
@@ -195,12 +216,13 @@ class TaskJournal:
     # ------------------------------------------------------------- writing
 
     def append(self, entry_type: str, **fields: object) -> dict:
-        """Durably append one transition; returns the stamped entry.
+        """Append one transition; returns the stamped entry once it is
+        in the file, and for a :data:`SYNCED` type once it is durable.
 
         Group commit: the entry is queued, then whichever appender gets
-        the file lock first writes *every* queued entry under one
-        fsync.  Latecomers whose entry was covered by another leader's
-        fsync return without touching the file at all.
+        the file lock first writes *every* queued entry at once.  An
+        appender whose line another leader already wrote skips the
+        write; it still fsyncs unless an fsync already covered it.
         """
         with self._mu:
             if self._closed:
@@ -208,26 +230,29 @@ class TaskJournal:
             seq = self._next_seq
             self._next_seq += 1
             entry: dict = {"seq": seq, "type": entry_type, **fields}
-            self._pending.append((seq, frame(entry)))
+            self._pending.append(frame(entry))
         self._crash(f"journal-{entry_type}")
         with self._io:
             with self._mu:
-                if self._durable_seq >= seq:
-                    batch = []  # a concurrent leader already flushed us
-                else:
-                    batch = [line for _, line in self._pending]
-                    top = max(s for s, _ in self._pending)
-                    if len(batch) > 1:
-                        self.group_commits += 1
-                    self._pending.clear()
+                batch = self._pending
+                self._pending = []
+                top = self._next_seq - 1 if batch else self._written_seq
+                if len(batch) > 1:
+                    self.group_commits += 1
+            if self._fh is None:
+                self._fh = self.path.open("ab")
             if batch:
-                if self._fh is None:
-                    self._fh = self.path.open("ab")
                 self._fh.write(b"".join(batch))
+                self._fh.flush()
+                with self._mu:
+                    self._written_seq = top
+            if entry_type in SYNCED and self._durable_seq < seq:
+                # our line is in the file, by us or by an earlier
+                # leader; only an fsync makes it durable
                 fsync(self._fh)
                 with self._mu:
                     self.fsyncs += 1
-                    self._durable_seq = max(self._durable_seq, top)
+                    self._durable_seq = top
         with self._mu:
             self.appended += 1
         self._crash(f"journal-{entry_type}-durable")
@@ -287,7 +312,7 @@ class TaskJournal:
             tmp.replace(self.path)
             with self._mu:
                 self._next_seq = seq + 1
-                self._durable_seq = seq
+                self._written_seq = self._durable_seq = seq
 
     # ------------------------------------------------------------- queries
 

@@ -9,12 +9,20 @@ progress events (each stamped with a monotonically increasing index
 :class:`TaskRegistry` owns the id namespace and the lock; the streaming
 endpoint reads ``events_since`` snapshots and never blocks a writer.
 
+Streams are pushed, not polled: a stream :meth:`~TaskRegistry.watch`es
+its task, and every new event or terminal state sets its
+:class:`asyncio.Event` through ``loop.call_soon_threadsafe`` from the
+runner thread.  ``events_since`` clears that event under the same lock
+the writers hold, so an event landing between the read and the wait
+still wakes the stream.
+
 Nothing here knows about HTTP — the registry is shared state between
 the asyncio front end and the runner threads, guarded by one mutex.
 """
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 from dataclasses import dataclass, field
@@ -108,6 +116,9 @@ class TaskRegistry:
         self._tasks: dict[str, CampaignTask] = {}
         self._order: list[str] = []
         self._next_id = 1
+        #: task id -> the streams watching it, each woken on its loop
+        self._watchers: dict[
+            str, list[tuple[asyncio.AbstractEventLoop, asyncio.Event]]] = {}
 
     def create(self, suite: str, doc: dict, campaign: Campaign,
                jobs: int, timeout: float | None, refresh: bool,
@@ -177,12 +188,14 @@ class TaskRegistry:
             task.state = "done"
             task.summary = summary
             task.finished_at = time.time()
+            self._wake(task)
 
     def mark_failed(self, task: CampaignTask, error: str) -> None:
         with self._mu:
             task.state = "failed"
             task.error = error
             task.finished_at = time.time()
+            self._wake(task)
 
     # ------------------------------------------------------------- events
 
@@ -194,12 +207,43 @@ class TaskRegistry:
             stamped["i"] = len(task.events)
             stamped["task"] = task.id
             task.events.append(stamped)
+            self._wake(task)
 
-    def events_since(self, task: CampaignTask,
-                     since: int) -> tuple[list[dict], bool]:
+    def events_since(self, task: CampaignTask, since: int,
+                     wake: asyncio.Event | None = None,
+                     ) -> tuple[list[dict], bool]:
         """Events with index >= ``since`` plus whether the feed is
-        complete (task finished — no more events will ever arrive)."""
+        complete (task finished — no more events will ever arrive).
+        ``wake``, a :meth:`watch` event, is cleared in the same
+        critical section, so only a later change sets it again."""
         with self._mu:
+            if wake is not None:
+                wake.clear()
             fresh = task.events[since:] if since < len(task.events) \
                 else []
             return list(fresh), task.state in FINAL_STATES
+
+    # ------------------------------------------------------------ streams
+
+    def watch(self, task: CampaignTask) -> asyncio.Event:
+        """Register a stream on the running event loop; the returned
+        event is set whenever ``task`` gets an event or finishes.
+        Call before the first :meth:`events_since` and pair with
+        :meth:`unwatch`."""
+        wake = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        with self._mu:
+            self._watchers.setdefault(task.id, []).append((loop, wake))
+        return wake
+
+    def unwatch(self, task: CampaignTask, wake: asyncio.Event) -> None:
+        with self._mu:
+            watchers = self._watchers.get(task.id, [])
+            watchers[:] = [w for w in watchers if w[1] is not wake]
+            if not watchers:
+                self._watchers.pop(task.id, None)
+
+    def _wake(self, task: CampaignTask) -> None:
+        # caller holds _mu
+        for loop, wake in self._watchers.get(task.id, ()):
+            loop.call_soon_threadsafe(wake.set)

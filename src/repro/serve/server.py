@@ -5,6 +5,8 @@ request (``Connection: close``).  Handlers delegate to the
 :class:`~repro.serve.daemon.ServeDaemon` — whose calls are all short
 and lock-light (the LSM store's flushes and compactions run on its own
 background thread) — so the event loop never parks behind a simulation.
+A submission runs on the loop's default executor instead: its journal
+fsync would otherwise stall every open event stream.
 
 Endpoints::
 
@@ -27,13 +29,20 @@ Endpoints::
 The events endpoint streams with chunked transfer encoding: each
 scheduler decision (plan / job submit / job done / job failed / done)
 is one NDJSON line, flushed as its own chunk, so a client watches a
-campaign live.  The stream ends when the campaign reaches a terminal
-state and the feed is drained.
+campaign live.  Events are pushed, not polled: the stream sleeps on a
+:meth:`~repro.serve.registry.TaskRegistry.watch` event that the runner
+thread sets when it appends an event or ends the campaign, so a line
+goes out as soon as it exists.  The stream ends when the campaign
+reaches a terminal state and the feed is drained.
+
+``GET /v1/campaigns`` encodes one status document at a time, so the
+listing never holds every task's status dict at once.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import logging
 import signal
 import threading
@@ -54,6 +63,7 @@ from .protocol import (
     last_chunk,
     parse_headers,
     parse_request_line,
+    render_response,
     split_path,
     stream_head,
 )
@@ -62,8 +72,6 @@ _log = logging.getLogger("repro.serve")
 
 #: how long a client may take to deliver its request
 READ_TIMEOUT_S = 10.0
-#: poll interval while waiting for fresh progress events
-EVENT_POLL_S = 0.05
 #: raw-bytes chunk size for .rlog streaming
 RLOG_CHUNK = 64 << 10
 
@@ -187,13 +195,16 @@ class HttpFrontend:
                 return await self._drain(request, writer)
             if segments == ["v1", "campaigns"]:
                 if request.method == "POST":
-                    task = self.daemon.submit(request.json())
+                    # off the loop: the ack's journal fsync must not
+                    # hold up other connections' event streams
+                    doc = request.json()
+                    loop = asyncio.get_running_loop()
+                    task = await loop.run_in_executor(
+                        None, self.daemon.submit, doc)
                     return self._write(writer, 202, task.status_doc())
                 if request.method == "GET":
-                    return self._write(writer, 200, {
-                        "campaigns": [t.status_doc()
-                                      for t in self.daemon.registry.list()],
-                    })
+                    writer.write(self._listing())
+                    return 200
                 writer.write(error_response(405, "GET or POST"))
                 return 405
             if (len(segments) in (3, 4)
@@ -310,26 +321,31 @@ class HttpFrontend:
         follow = request.query.get("follow", "1") not in ("0", "false")
         writer.write(stream_head())
         await writer.drain()
-        while True:
-            events, finished = self.daemon.registry.events_since(task,
-                                                                 since)
-            for event in events:
-                writer.write(chunk(event_line(event)))
-            if events:
-                since = events[-1]["i"] + 1
-                await writer.drain()
-                if self.daemon.stream_resets_remaining > 0:
-                    # chaos drill: hard-reset the connection mid-feed
-                    # (RST, no terminating chunk) — the client must
-                    # resume from its `since` cursor on a fresh socket
-                    self.daemon.stream_resets_remaining -= 1
-                    transport = writer.transport
-                    if transport is not None:
-                        transport.abort()
-                    return 200
-            if finished or not follow:
-                break
-            await asyncio.sleep(EVENT_POLL_S)
+        registry = self.daemon.registry
+        wake = registry.watch(task)  # before the first read: no lost wake
+        try:
+            while True:
+                events, finished = registry.events_since(task, since, wake)
+                for event in events:
+                    writer.write(chunk(event_line(event)))
+                if events:
+                    since = events[-1]["i"] + 1
+                    await writer.drain()
+                    if self.daemon.stream_resets_remaining > 0:
+                        # chaos drill: hard-reset the connection
+                        # mid-feed (RST, no terminating chunk) — the
+                        # client must resume from its `since` cursor
+                        # on a fresh socket
+                        self.daemon.stream_resets_remaining -= 1
+                        transport = writer.transport
+                        if transport is not None:
+                            transport.abort()
+                        return 200
+                if finished or not follow:
+                    break
+                await wake.wait()
+        finally:
+            registry.unwatch(task, wake)
         # explicit end-of-stream sentinel: a feed that stops without it
         # was cut mid-flight (TCP semantics alone can't tell a clean
         # close from a reset once the kernel buffer is drained, so the
@@ -349,6 +365,15 @@ class HttpFrontend:
         return 200
 
     # -------------------------------------------------------------- helpers
+
+    def _listing(self) -> bytes:
+        """``GET /v1/campaigns``, byte-identical to ``json_response(200,
+        {"campaigns": [t.status_doc() ...]})`` but encoded one status
+        document at a time."""
+        docs = b", ".join(
+            json.dumps(task.status_doc(), sort_keys=True).encode()
+            for task in self.daemon.registry.list())
+        return render_response(200, b'{"campaigns": [' + docs + b"]}\n")
 
     @staticmethod
     def _write(writer: asyncio.StreamWriter, status: int,

@@ -185,9 +185,11 @@ class Supervisor:
                 f"submission queue full ({queue_depth}/{self.max_queue})")
 
     # ------------------------------------------------- journaled lifecycle
-    # Journal first, memory second: each helper appends the durable
-    # record, then mutates the registry.  A kill between the two is the
-    # exact situation recovery replays.
+    # Journal first, memory second: each helper appends the record,
+    # then mutates the registry.  A kill between the two is the exact
+    # situation recovery replays.  The journal fsyncs accepted, done
+    # and failed before append returns; running and publishing are
+    # only written (see repro.serve.journal).
 
     def accept(self, task: CampaignTask, doc: dict,
                deadline: float | None) -> None:

@@ -457,3 +457,45 @@ class TestStoreScrubCommand:
                    str(tmp_path / "nope")])
         assert rc == 2
         assert "no result store" in capsys.readouterr().err
+
+
+class TestCampaignClosesItsStore:
+    ARGV = ["-q", "campaign", "overhead", "micro_low_abort", "--runs", "3",
+            "--drop", "0", "--threads", "2", "--scale", "0.25", "--jobs",
+            "1"]
+
+    def test_run_leaves_a_segment_and_no_wal_to_replay(self, tmp_path):
+        from repro.campaign.store import ResultStore
+
+        root = tmp_path / "cache"
+        assert main([*self.ARGV, "--cache-dir", str(root)]) == 0
+        store = ResultStore(root, background=False)
+        try:
+            stats = store.stats()
+            assert stats["segments"] >= 1
+            assert stats["records"] >= 3
+            assert stats["memtable_records"] == 0  # no WAL replayed
+        finally:
+            store.close()
+
+    def test_status_and_errors_close_the_store_too(self, tmp_path,
+                                                   monkeypatch):
+        from repro.campaign import store as store_mod
+        from repro.campaign.scheduler import CampaignError, CampaignRunner
+
+        closed: list[str] = []
+        real_close = store_mod.ResultStore.close
+
+        def spy(self):
+            closed.append(str(self.root))
+            real_close(self)
+
+        def fail(self, campaign):
+            raise CampaignError("job failed")
+
+        monkeypatch.setattr(store_mod.ResultStore, "close", spy)
+        root = str(tmp_path / "cache")
+        assert main([*self.ARGV, "--cache-dir", root, "--status"]) == 0
+        monkeypatch.setattr(CampaignRunner, "run", fail)
+        assert main([*self.ARGV, "--cache-dir", root]) == 1
+        assert closed == [root, root]

@@ -8,7 +8,11 @@ paths, and the byte-identity contract against the serial CLI path).
 
 from __future__ import annotations
 
+import asyncio
 import json
+import queue
+import socket
+import sys
 import threading
 import time
 
@@ -576,3 +580,228 @@ class TestResilience:
             assert "serve.leases.active" in doc["metrics"]
         finally:
             daemon.close()
+
+
+# ---------------------------------------------------------------------------
+# pushed event streams and the campaign listing
+# ---------------------------------------------------------------------------
+
+
+def _watching(registry: TaskRegistry) -> int:
+    """Streams still registered for wake-ups, over all tasks."""
+    with registry._mu:
+        return sum(len(w) for w in registry._watchers.values())
+
+
+def _wait_until(cond, what: str, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not cond():
+        assert time.monotonic() < deadline, f"timed out: {what}"
+        time.sleep(0.005)
+
+
+class TestPushedStreams:
+    @pytest.mark.parametrize("change", ["append_event", "mark_done",
+                                        "mark_failed"])
+    def test_watcher_is_woken_from_another_thread(self, change):
+        reg = TaskRegistry()
+        task = reg.create("overhead", dict(TINY), _tiny_campaign(),
+                          1, None, False)
+        act = {
+            "append_event": lambda: reg.append_event(task, {"n": 0}),
+            "mark_done": lambda: reg.mark_done(task, {}),
+            "mark_failed": lambda: reg.mark_failed(task, "boom"),
+        }[change]
+
+        async def scenario() -> None:
+            wake = reg.watch(task)
+            try:
+                events, finished = reg.events_since(task, 0, wake)
+                assert events == [] and not finished
+                assert not wake.is_set()
+                runner = threading.Thread(target=act)
+                runner.start()
+                await asyncio.wait_for(wake.wait(), timeout=10)
+                runner.join(10)
+                events, finished = reg.events_since(task, 0, wake)
+                assert not wake.is_set()  # cleared with the read
+                assert (len(events), finished) == (
+                    (1, False) if change == "append_event" else (0, True))
+            finally:
+                reg.unwatch(task, wake)
+
+        asyncio.run(scenario())
+        assert _watching(reg) == 0
+
+    def test_follow_stream_is_pushed_and_ends_on_done(self):
+        daemon = ServeDaemon(store=MemoryStore(), runners=1)
+        server = BackgroundServer(daemon)
+        # registered directly: no runner executes it, this test does
+        task = daemon.registry.create("overhead", dict(TINY),
+                                      _tiny_campaign(), 1, None, False)
+        try:
+            port = server.start()
+            client = ServeClient(f"http://127.0.0.1:{port}")
+            received: queue.Queue = queue.Queue()
+
+            def stream() -> None:
+                for event in client.stream_events(task.id):
+                    received.put(event)
+                received.put(None)
+
+            reader = threading.Thread(target=stream)
+            reader.start()
+            _wait_until(lambda: _watching(daemon.registry) == 1,
+                        "stream registered")
+            runner = threading.Thread(target=daemon.registry.append_event,
+                                      args=(task, {"type": "plan"}))
+            runner.start()
+            runner.join(10)
+            event = received.get(timeout=10)
+            assert (event["type"], event["i"]) == ("plan", 0)
+            assert received.empty()  # the stream is still open
+            threading.Thread(target=daemon.registry.mark_done,
+                             args=(task, {})).start()
+            assert received.get(timeout=10) is None  # ended
+            reader.join(10)
+            assert not reader.is_alive()
+            _wait_until(lambda: _watching(daemon.registry) == 0,
+                        "stream unregistered after a clean end")
+        finally:
+            server.stop()
+            daemon.close()
+
+    def test_no_watcher_outlives_its_stream(self):
+        daemon = ServeDaemon(store=MemoryStore(), runners=1)
+        server = BackgroundServer(daemon)
+        reg = daemon.registry
+        try:
+            port = server.start()
+            client = ServeClient(f"http://127.0.0.1:{port}", retries=0)
+
+            # follow=0 returns what is there and unregisters
+            task = reg.create("overhead", dict(TINY), _tiny_campaign(),
+                              1, None, False)
+            reg.append_event(task, {"type": "plan"})
+            assert len(list(client.stream_events(task.id,
+                                                 follow=False))) == 1
+            _wait_until(lambda: _watching(reg) == 0, "follow=0")
+
+            # the chaos reset aborts the transport mid-feed
+            daemon.stream_resets_remaining = 1
+            with pytest.raises(ServeError):
+                list(client.stream_events(task.id))
+            _wait_until(lambda: _watching(reg) == 0, "aborted stream")
+
+            # a client that hangs up while the stream waits
+            sock = socket.create_connection(("127.0.0.1", port))
+            sock.sendall(f"GET /v1/campaigns/{task.id}/events?since=1 "
+                         "HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+            assert sock.recv(4096).startswith(b"HTTP/1.1 200")
+            _wait_until(lambda: _watching(reg) == 1, "raw stream waits")
+            sock.close()
+            reg.append_event(task, {"type": "job"})
+            reg.mark_done(task, {})
+            _wait_until(lambda: _watching(reg) == 0, "disconnected client")
+        finally:
+            server.stop()
+            daemon.close()
+
+    def test_listing_bytes_match_one_json_document(self):
+        daemon = ServeDaemon(store=MemoryStore(), runners=1)
+        server = BackgroundServer(daemon)
+        reg = daemon.registry
+        campaign = _tiny_campaign()
+        queued = reg.create("overhead", dict(TINY), campaign, 1, None,
+                            False)
+        running = reg.create("overhead", dict(TINY), campaign, 1, None,
+                             False, deadline=30.0)
+        reg.mark_running(running)
+        reg.append_event(running, {"type": "plan"})
+        done = reg.create("overhead", dict(TINY), campaign, 1, None, False)
+        reg.mark_done(done, {"jobs": 3, "hits": 1})
+        failed = reg.create("overhead", dict(TINY), campaign, 1, None,
+                            False)
+        reg.mark_failed(failed, "boom: é\"quoted\"")
+        recovered = reg.create("overhead", dict(TINY), campaign, 1, None,
+                               False, task_id="c-000042",
+                               submitted_at=12.5, recovered=True)
+        assert [t.state for t in (queued, running, done, failed,
+                                  recovered)] == [
+            "queued", "running", "done", "failed", "queued"]
+        try:
+            port = server.start()
+
+            def listing() -> bytes:
+                with socket.create_connection(("127.0.0.1", port)) as sock:
+                    sock.sendall(b"GET /v1/campaigns HTTP/1.1\r\n"
+                                 b"Host: x\r\n\r\n")
+                    got = b""
+                    while data := sock.recv(65536):
+                        got += data
+                return got
+
+            def one_document() -> bytes:
+                return json_response(200, {"campaigns": [
+                    t.status_doc() for t in reg.list()]})
+
+            assert listing() == one_document()
+            for task in reg.list():
+                reg.remove(task.id)
+            assert listing() == one_document()
+        finally:
+            server.stop()
+            daemon.close()
+
+    def test_no_wake_is_lost_under_contention(self):
+        """Runner threads append while a stream drains the feed: with
+        the interpreter switching threads often, the stream still sees
+        every event, in order, and ends — a lost wake would hang it."""
+        reg = TaskRegistry()
+        task = reg.create("overhead", dict(TINY), _tiny_campaign(),
+                          1, None, False)
+        writers, per_writer = 6, 200
+
+        def write() -> None:
+            for n in range(per_writer):
+                reg.append_event(task, {"n": n})
+
+        async def drain() -> list[int]:
+            wake = reg.watch(task)
+            seen: list[int] = []
+            try:
+                while True:
+                    events, finished = reg.events_since(task, len(seen),
+                                                        wake)
+                    seen += [e["i"] for e in events]
+                    if finished:
+                        return seen
+                    await asyncio.wait_for(wake.wait(), timeout=10)
+            finally:
+                reg.unwatch(task, wake)
+
+        def finish(workers: list[threading.Thread]) -> None:
+            for w in workers:
+                w.join(30)
+            reg.mark_done(task, {})
+
+        async def scenario() -> list[int]:
+            workers = [threading.Thread(target=write)
+                       for _ in range(writers)]
+            for w in workers:
+                w.start()
+            closer = threading.Thread(target=finish, args=(workers,))
+            closer.start()
+            seen = await drain()
+            closer.join(30)
+            assert not closer.is_alive()
+            return seen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            seen = asyncio.run(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == list(range(writers * per_writer))
+        assert _watching(reg) == 0

@@ -10,6 +10,7 @@ than deletes, and that the live store surfaces the last scrub in
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 from repro.campaign.store import ResultStore, scrub_files
@@ -167,3 +168,30 @@ class TestScrubDamage:
                     {"n": i, "replay_log": _rlog(i)}
         finally:
             store.close()
+
+
+def test_record_key_flip_is_one_verdict_everywhere(tmp_path):
+    """A segment line that is still a JSON object but has no
+    ``"record"`` object: fetch, recovery and scrub all call it damage,
+    and repair leaves a clean store."""
+    store = ResultStore(tmp_path, background=False)
+    store.put("k1", {"v": "alpha"})
+    store.flush()
+    store.close()
+    segment = sorted(tmp_path.glob("seg-*.jsonl"))[0]
+    data = segment.read_bytes()
+    segment.write_bytes(data.replace(b'"record"', b'"recorf"', 1))
+
+    copy = tmp_path.parent / f"{tmp_path.name}-copy"
+    shutil.copytree(tmp_path, copy)
+    reopened = ResultStore(copy, background=False)
+    try:
+        assert reopened.fetch("k1") is None  # recovery never indexed it
+    finally:
+        reopened.close()
+
+    report = scrub_files(tmp_path)
+    assert report["files"][segment.name]["state"] == "corrupt"
+    assert report["summary"]["corrupt"] == 1
+    scrub_files(tmp_path, repair=True)
+    assert scrub_files(tmp_path)["clean"]

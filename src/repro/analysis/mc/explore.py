@@ -391,27 +391,37 @@ def dpor_explore(system: System, max_executions: int = 20_000,
     def explore(state: State, sleep: frozenset[int]) -> None:
         if not exp.complete:
             return
-        # race detection: for every live thread, add it to the backtrack
-        # set of *every* trail node whose step it depends on.  Classic
-        # DPOR stops at the most recent such step, but that relies on an
-        # exact dependence relation: ours over-approximates (``acq`` is
-        # dependent with everything), so a causally-entangled nearby
-        # step — say the doom that enabled this very acquisition — can
-        # shadow a genuine race with an older, causally-unrelated step,
-        # silently dropping the backtrack point that would reverse it.
-        # Adding at every dependent step costs redundant exploration
-        # (the sleep sets absorb most of it) but never misses a class.
+        # race detection: for every live thread, find *every* trail node
+        # whose step its next step depends on.  Classic DPOR stops at the
+        # most recent such step, but that relies on an exact dependence
+        # relation: ours over-approximates (``acq`` is dependent with
+        # everything), so a causally-entangled nearby step — say the
+        # doom that enabled this very acquisition — can shadow a genuine
+        # race with an older, causally-unrelated step, silently dropping
+        # the backtrack point that would reverse it.  At node k the race
+        # is reversed by starting p, or any thread with a step after k
+        # that happens before p's next step: once p has moved since k,
+        # its step at k is an older one, possibly asleep there, and only
+        # a thread p's later steps waited on leads to the reversal.
+        # Adding every such starter costs redundant exploration (the
+        # sleep sets absorb most of it) but never misses a class.
         for p in range(n):
             act = system.next_action(state, p)
             if act is None:
                 continue
+            # the trail steps after k that happen before p's next step
+            before: list[tuple[int, Action]] = []
             for k in range(len(trail) - 1, -1, -1):
                 tid_k, act_k, enabled_k, backtrack_k = trail[k]
-                if tid_k != p and system.dependent(tid_k, act_k, p, act):
-                    if p in enabled_k:
-                        backtrack_k.add(p)
-                    else:
-                        backtrack_k.update(enabled_k)
+                if tid_k == p:
+                    before.append((tid_k, act_k))
+                elif system.dependent(tid_k, act_k, p, act):
+                    starters = enabled_k & ({p} | {t for t, _a in before})
+                    backtrack_k.update(starters or enabled_k)
+                    before.append((tid_k, act_k))
+                elif any(t == tid_k or system.dependent(tid_k, act_k, t, a)
+                         for t, a in before):
+                    before.append((tid_k, act_k))
         enabled = frozenset(system.enabled_set(state))
         if not enabled:
             exp.executions += 1

@@ -13,7 +13,8 @@ inject above the simulator:
   ``failed`` and ``epoch``, after the write for ``running`` and
   ``publishing``, which are not fsynced), followed by abandonment of
   every open file handle (the store's crash-test idiom: nothing
-  flushed, nothing closed cleanly);
+  flushed, nothing closed cleanly; bytes still in Python's buffers
+  are dropped, as a kill drops them);
 * **mid-stream connection resets** — the HTTP front end hard-aborts
   (RST) the progress-event stream after a flushed batch, exercising
   the client's ``since``-cursor resume;
@@ -28,7 +29,9 @@ inject above the simulator:
 invariants the tentpole promises:
 
 1. **no acked submission lost** — if ``submit`` returned, the restarted
-   daemon resolves the pre-crash campaign id and completes it;
+   daemon resolves the pre-crash campaign id and completes it; and no
+   journal entry an append reported written is missing from the file
+   after the kill;
 2. **results byte-identical to the serial CLI** — recovered records and
    ``.rlog`` sidecars match a crash-free ``repro campaign`` run byte
    for byte, and a sidecar fetched over HTTP matches its file;
@@ -212,27 +215,55 @@ class _DieAt:
 # ---------------------------------------------------------- kill plumbing
 
 
+def _drop(fh: Any) -> None:
+    """Let go of ``fh`` as ``kill -9`` would: what reached the OS stays
+    in the file, what is still in Python's buffer is lost.  Plain
+    ``close()`` would flush that buffer, and so hide a missing flush.
+    The descriptor is pointed at the null device first, so the close
+    writes the buffer nowhere."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fh.fileno())
+    finally:
+        os.close(null)
+    fh.close()
+
+
 def _abandon_store(store: Any) -> None:
     """The store half of ``kill -9``: drop the crash hook and the WAL
-    handle without flushing or closing anything (the idiom the store's
+    handle, losing whatever was never flushed (the idiom the store's
     own crash-property tests use)."""
     store._crash_hook = None
     if store._wal_fh is not None:
-        store._wal_fh.close()
+        _drop(store._wal_fh)
         store._wal_fh = None
 
 
-def _abandon_daemon(daemon: ServeDaemon) -> None:
+def _abandon_daemon(daemon: ServeDaemon) -> int:
     """Abandon a daemon as a hard kill would: no drain, no snapshot,
-    no store flush — just every file handle dropped mid-state."""
+    no store flush — just every file handle dropped mid-state.
+
+    Returns how many journal entries the daemon had reported written
+    that the file lost.  A kill keeps every byte that reached the OS,
+    so anything but 0 means an append returned before its entry left
+    Python's buffer."""
+    from ..campaign.durable import read, scan, unframe
+
     daemon._closed = True  # a later close() must not tidy anything up
     daemon._runners.shutdown(wait=False, cancel_futures=True)
-    if daemon.journal is not None:
-        daemon.journal._crash_hook = None
-        if daemon.journal._fh is not None:
-            daemon.journal._fh.close()
-            daemon.journal._fh = None
+    lost = 0
+    journal = daemon.journal
+    if journal is not None:
+        journal._crash_hook = None
+        if journal._fh is not None:
+            _drop(journal._fh)
+            journal._fh = None
+        found = scan(read(journal.path), unframe)
+        kept = max((int(e.get("seq", 0)) for e in found.entries),
+                   default=0)
+        lost = max(0, journal._written_seq - kept)
     _abandon_store(daemon.store)
+    return lost
 
 
 def _wait_for(cond: Callable[[], bool], what: str,
@@ -364,6 +395,12 @@ def _run_boundary_cell(
     def fail(detail: str) -> DrillCell:
         return DrillCell(name=boundary, ok=False, detail=detail)
 
+    lost = 0  # journal entries reported written that a kill lost
+
+    def abandon(daemon: ServeDaemon) -> None:
+        nonlocal lost
+        lost += _abandon_daemon(daemon)
+
     # ---- phase 1: first daemon, killed at (or en route to) the target
     acked = False
     task_id: str | None = None
@@ -389,14 +426,14 @@ def _run_boundary_cell(
             _wait_for(lambda: first_hook.died or _settled(daemon),
                       f"{boundary}: crash or completion")
         if first_hook.died:
-            _abandon_daemon(daemon)
+            abandon(daemon)
         else:
             # boundary not crossed while running (e.g. the snapshot
             # rewrite): it fires inside the clean-close path
             try:
                 daemon.close()
             except CrashPoint:
-                _abandon_daemon(daemon)
+                abandon(daemon)
 
     # ---- phase 2: restart until a daemon survives and settles
     final: ServeDaemon | None = None
@@ -416,7 +453,7 @@ def _run_boundary_cell(
             try:
                 candidate.submit(dict(doc))
             except CrashPoint:
-                _abandon_daemon(candidate)
+                abandon(candidate)
                 continue
         # only an armed hook may cut the wait short: a hook that
         # already fired in an earlier incarnation can never kill
@@ -425,12 +462,16 @@ def _run_boundary_cell(
                            or _settled(candidate)),
                   f"{boundary}: recovery completion")
         if not _settled(candidate):
-            _abandon_daemon(candidate)
+            abandon(candidate)
             continue
         final = candidate
         break
     if final is None:
         return fail("no restart survived to completion")
+    if lost:
+        _abandon_daemon(final)
+        return fail(f"a kill lost {lost} journal entries an append "
+                    "had reported written")
     if not target_hook.died:
         _abandon_daemon(final)
         return fail("target boundary was never crossed")

@@ -24,13 +24,25 @@ The engine never raises Python exceptions into workload code itself; it
 *dooms* transactions, and the simulator delivers :class:`AbortSignal` to
 the victim thread at its next scheduling step (its architectural state is
 rolled back immediately at doom time, as on hardware).
+
+Conflict arbitration is indexed by cache line, like a coherence
+directory: ``readers[line]`` and ``writers[line]`` hold the tids of the
+live transactions (doomed ones included, until they retire) whose read
+or write set holds ``line``.  A line enters the index when it first
+enters a set (:meth:`TsxEngine.track_read`, :meth:`TsxEngine.track_write`,
+:meth:`TsxEngine.add_write_lines`) and leaves it when its transaction
+commits or rolls back.  :meth:`TsxEngine.on_access` returns at once
+unless another tid writes the line, or, for a write, reads it; only then
+does it scan the live transactions in begin order.  The scan decides who
+is doomed, in what order, and which ``conflict_edges`` it bumps, so the
+index changes no outcome, only how often the scan runs.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..sim.config import MachineConfig, line_of
+from ..sim.config import MachineConfig
 from .status import (
     ABORT_CAPACITY,
     ABORT_CONFLICT,
@@ -97,6 +109,10 @@ class TsxEngine:
         self.obs = None
         #: active (not yet committed/rolled-back) transaction per tid
         self.active: dict[int, Transaction] = {}
+        #: line -> tids of the active transactions whose read (write) set
+        #: holds it; a line no live transaction holds has no entry
+        self.readers: dict[int, set[int]] = {}
+        self.writers: dict[int, set[int]] = {}
         self._n_sets = max(1, config.wset_lines // max(1, config.wset_assoc))
         # engine-level statistics (ground truth, not profiler-visible)
         self.total_begins = 0
@@ -156,13 +172,22 @@ class TsxEngine:
 
         Called by the engine for *every* load/store/CAS.  Dooms other
         transactions per the conflict policy; with eager detection this is
-        exactly TSX's coherence-triggered abort.
+        exactly TSX's coherence-triggered abort.  The line index answers
+        "does anyone else hold this line?" first; the scan below runs only
+        when the answer is yes.
         """
+        line = addr >> 6  # line_of(addr), inlined: this runs per access
+        w = self.writers.get(line)
+        if not w or (len(w) == 1 and tid in w):
+            if not is_write:
+                return
+            r = self.readers.get(line)
+            if not r or (len(r) == 1 and tid in r):
+                return
         if not self.config.eager_conflicts and tid in self.active:
             # lazy mode: transactional accesses defer detection to commit;
             # non-transactional accesses still arbitrate eagerly below.
             return
-        line = line_of(addr)
         requester_wins = self.config.conflict_policy == "requester_wins"
         me = self.active.get(tid)
         for other_tid, other in list(self.active.items()):
@@ -201,10 +226,11 @@ class TsxEngine:
 
     def track_read(self, txn: Transaction, addr: int) -> None:
         """Add ``addr`` to the read set; dooms the txn on read-set overflow."""
-        line = line_of(addr)
+        line = addr >> 6
         rl = txn.read_lines
         if line not in rl:
             rl.add(line)
+            self.readers.setdefault(line, set()).add(txn.tid)
             if len(rl) > self.config.rset_lines:
                 self.doom(txn, AbortStatus(
                     ABORT_CAPACITY,
@@ -215,10 +241,11 @@ class TsxEngine:
     def track_write(self, txn: Transaction, addr: int, value: int) -> None:
         """Buffer a transactional store; dooms the txn on write-set overflow."""
         txn.writes[addr] = value
-        line = line_of(addr)
+        line = addr >> 6
         wl = txn.write_lines
         if line not in wl:
             wl.add(line)
+            self.writers.setdefault(line, set()).add(txn.tid)
             set_idx = line % self._n_sets
             ways = txn.wset_by_set.get(set_idx, 0) + 1
             txn.wset_by_set[set_idx] = ways
@@ -232,11 +259,29 @@ class TsxEngine:
                     detail="write-set",
                 ))
 
-    def read_through(self, txn: Transaction, addr: int, memory_read) -> int:
-        """Transactional load: own write buffer first, then shared memory."""
-        if addr in txn.writes:
-            return txn.writes[addr]
-        return memory_read(addr)
+    def add_write_lines(self, txn: Transaction, lines) -> None:
+        """Put ``lines`` into the write set without buffering a store.
+
+        Used by instrumentation that models a bigger footprint; the lines
+        skip the capacity check, as they always have, but join the index.
+        """
+        wl = txn.write_lines
+        for line in lines:
+            if line not in wl:
+                wl.add(line)
+                self.writers.setdefault(line, set()).add(txn.tid)
+
+    def _unindex(self, txn: Transaction) -> None:
+        """Take a retiring transaction's lines out of the index."""
+        tid = txn.tid
+        for index, lines in ((self.readers, txn.read_lines),
+                             (self.writers, txn.write_lines)):
+            for line in lines:
+                tids = index[line]
+                if len(tids) == 1:
+                    del index[line]
+                else:
+                    tids.discard(tid)
 
     # ----------------------------------------------------------------- doom
 
@@ -276,6 +321,7 @@ class TsxEngine:
         for addr, value in txn.writes.items():
             memory_write(addr, value)
         del self.active[thread.tid]
+        self._unindex(txn)
         self.total_commits += 1
         if self.obs is not None:
             self.obs.on_txn_commit(thread.tid, thread.clock, txn)
@@ -302,6 +348,7 @@ class TsxEngine:
         txn = self.active.pop(thread.tid, None)
         if txn is None or txn.doomed is None:
             raise RuntimeError(f"thread {thread.tid} rolling back a live txn")
+        self._unindex(txn)
         status = txn.doomed
         self.total_aborts += 1
         self.aborts_by_reason[status.reason] = (

@@ -45,17 +45,21 @@ class CounterBank:
 
     def add(self, event: str, n: int = 1) -> int:
         """Count ``n`` occurrences; return how many overflows this caused."""
-        period = self.periods.get(event)
-        if period is None:
+        rem = self.remaining.get(event)
+        if rem is None:
             return 0
         self.totals[event] += n
-        rem = self.remaining[event] - n
+        rem -= n
+        if rem > 0:
+            # the common case: the counter is still counting down
+            self.remaining[event] = rem
+            return 0
+        period = self.periods[event]
         fired = 0
         while rem <= 0:
             fired += 1
             rem += self._next_period(period)
-        if fired:
-            self.overflows[event] += fired
+        self.overflows[event] += fired
         self.remaining[event] = rem
         return fired
 

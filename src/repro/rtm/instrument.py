@@ -49,8 +49,9 @@ class TxnInstrumentation:
                  txn: "Transaction") -> int:
         self.begins[cs.name] += 1
         if self.extra_wset_lines:
-            for i in range(self.extra_wset_lines):
-                txn.write_lines.add(self._next_fake_line + ctx.tid * 64 + i)
+            base = self._next_fake_line + ctx.tid * 64
+            ctx.sim.htm.add_write_lines(
+                txn, range(base, base + self.extra_wset_lines))
         return self.cost_per_event
 
     def on_commit(self, ctx: "ThreadContext", cs: "CriticalSection") -> int:

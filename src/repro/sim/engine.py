@@ -17,6 +17,23 @@ Per step the engine:
 3. drives the PMU: counts events, and on counter overflow delivers a
    sampling interrupt — which **aborts an in-flight transaction** before
    the profiler's handler observes the machine (the paper's Challenge I).
+
+Every profile, campaign and served job waits on this loop, so it is
+kept lean without changing one simulated cycle, RNG draw, sample or
+record: conflict arbitration asks the HTM engine's per-line index
+before it scans live transactions (:mod:`repro.htm.tsx`); a step reads
+memory, page residency and the write buffer inline; the cost jitter
+draws ``randrange``'s bits itself; PMU counting is skipped for threads
+with no counters; and :meth:`Simulator.run` keeps stepping a thread for
+as long as it still sorts before every other runnable one, which is
+exactly when popping the queue would hand it back.
+``tests/test_engine_fastpath.py`` checks each against the plain form.
+
+Instruction pointers are ``fn.base + source line`` of the issuing call
+(:mod:`repro.sim.thread`), so a profile digest pins the line layout of
+every simulated function: moving a line of ``rtm/runtime.py``,
+``dslib/``, ``htmbench/`` or a workload changes it, while the engine,
+the HTM engine and the PMU may change freely.
 """
 
 from __future__ import annotations
@@ -141,6 +158,8 @@ class Simulator:
         self._programs: list[Program] = list(programs) if programs else []
         self._started = False
         self._heap: list[tuple[int, int]] = []
+        #: bits per jitter draw: randrange(n) draws n.bit_length() bits
+        self._jitter_bits = (config.cost_jitter + 1).bit_length()
         for tid, t in enumerate(self.threads):
             t.rng = random.Random((seed + 1) * 1_000_003 + tid)
         if profiler is not None and hasattr(profiler, "attach"):
@@ -181,21 +200,28 @@ class Simulator:
         heap: list[tuple[int, int]] = [(0, t.tid) for t in self.threads]
         heapq.heapify(heap)
         self._heap = heap
+        threads = self.threads
         step = self._step
         push = heapq.heappush
         pop = heapq.heappop
         steps = 0
         while heap:
             _, tid = pop(heap)
-            t = self.threads[tid]
+            t = threads[tid]
             if t.done:
                 continue
-            step(t)
-            steps += 1
-            if steps > max_steps:
-                raise SimError(f"exceeded max_steps={max_steps}")
-            if not t.done and not t.blocked:
-                push(heap, (t.clock, tid))
+            while True:
+                step(t)
+                steps += 1
+                if steps > max_steps:
+                    raise SimError(f"exceeded max_steps={max_steps}")
+                if t.done or t.blocked:
+                    break
+                # pushing (clock, tid) and popping would hand the same
+                # thread back exactly when it sorts before every entry
+                if heap and (t.clock, tid) > heap[0]:
+                    push(heap, (t.clock, tid))
+                    break
         if any(not t.done for t in self.threads):
             stuck = [t.tid for t in self.threads if not t.done]
             raise SimDeadlock(f"threads {stuck} blocked forever")
@@ -231,11 +257,12 @@ class Simulator:
     def _step(self, t: ThreadContext) -> None:
         cfg = self.config
         htm = self.htm
-        memory = self.memory
+        active = htm.active
         tid = t.tid
+        counted = t.counters is not None
 
         # 1. retire a doomed transaction, if any
-        txn = htm.active.get(tid)
+        txn = active.get(tid)
         throw_sig: AbortSignal | None = None
         if txn is not None and txn.doomed is not None:
             status = htm.rollback(t)
@@ -246,7 +273,8 @@ class Simulator:
             if self.obs is not None:
                 self.obs.on_txn_abort(tid, t.clock, txn, status.reason,
                                       weight)
-            self._count(t, RTM_ABORTED, 1)
+            if counted:
+                self._count(t, RTM_ABORTED, 1)
             throw_sig = AbortSignal(status)
 
         # 2. resume the generator
@@ -261,84 +289,91 @@ class Simulator:
                 self.obs.on_thread_end(tid, t.clock)
             return
 
-        # 3. interpret the instruction
+        # 3. interpret the instruction.  The generator may have begun or
+        # ended a transaction; arbitration can doom one but never ends it,
+        # so one lookup serves the whole instruction.  Memory is read
+        # inline: ``data.get(addr, 0)`` is Memory.read, ``addr >> 12`` is
+        # page_of, and a transactional load sees its own buffered stores
+        # first.
         kind = op[0]
         result = None
         if kind == OP_COMPUTE:
             cost = op[1]
-        elif kind == OP_LOAD:
+        elif kind in (OP_LOAD, OP_STORE, OP_CAS):
             addr = op[1]
-            cost = cfg.load_cost
-            htm.on_access(tid, addr, False)
-            txn = htm.active.get(tid)
-            if txn is not None:
-                if txn.doomed is not None:
+            memory = self.memory
+            data = memory.data
+            txn = active.get(tid)
+            # a first touch faults: a plain access pays for it and makes
+            # the page resident, a transactional one aborts (Memory.touch)
+            fault = False
+            if memory.track_page_faults:
+                page = addr >> 12
+                if page not in memory.touched_pages:
+                    fault = True
+                    if txn is None:
+                        memory.touched_pages.add(page)
+            if kind == OP_LOAD:
+                cost = cfg.load_cost
+                htm.on_access(tid, addr, False)
+                if txn is None:
+                    if fault:
+                        cost += cfg.pagefault_cost
+                    result = data.get(addr, 0)
+                elif txn.doomed is not None:
                     # squashed: the abort rewinds control flow next step
                     result = 0
-                elif (memory.track_page_faults
-                        and memory.touch_would_fault(addr)):
+                elif fault:
                     htm.doom(txn, AbortStatus(ABORT_SYNC, detail="pagefault"))
                     result = 0
                 else:
                     htm.track_read(txn, addr)
-                    result = htm.read_through(txn, addr, memory.read)
-            else:
-                if memory.touch(addr):
-                    cost += cfg.pagefault_cost
-                result = memory.read(addr)
-            self._count_mem(t, MEM_LOADS, addr, False)
-        elif kind == OP_STORE:
-            addr = op[1]
-            cost = cfg.store_cost
-            htm.on_access(tid, addr, True)
-            txn = htm.active.get(tid)
-            if txn is not None:
-                if txn.doomed is not None:
+                    writes = txn.writes
+                    result = writes[addr] if addr in writes else data.get(addr, 0)
+                if counted:
+                    self._count_mem(t, MEM_LOADS, addr, False)
+            elif kind == OP_STORE:
+                cost = cfg.store_cost
+                htm.on_access(tid, addr, True)
+                if txn is None:
+                    if fault:
+                        cost += cfg.pagefault_cost
+                    data[addr] = op[2]
+                elif txn.doomed is not None:
                     pass  # squashed
-                elif (memory.track_page_faults
-                        and memory.touch_would_fault(addr)):
+                elif fault:
                     htm.doom(txn, AbortStatus(ABORT_SYNC, detail="pagefault"))
                 else:
                     htm.track_write(txn, addr, op[2])
+                if counted:
+                    self._count_mem(t, MEM_STORES, addr, True)
             else:
-                if memory.touch(addr):
-                    cost += cfg.pagefault_cost
-                memory.write(addr, op[2])
-            self._count_mem(t, MEM_STORES, addr, True)
-        elif kind == OP_CAS:
-            addr = op[1]
-            cost = cfg.cas_cost
-            htm.on_access(tid, addr, True)
-            txn = htm.active.get(tid)
-            if txn is not None:
-                if txn.doomed is not None:
+                cost = cfg.cas_cost
+                htm.on_access(tid, addr, True)
+                if txn is None:
+                    if fault:
+                        cost += cfg.pagefault_cost
+                    result = data.get(addr, 0) == op[2]
+                    if result:
+                        data[addr] = op[3]
+                elif txn.doomed is not None:
                     result = False  # squashed
-                elif (memory.track_page_faults
-                        and memory.touch_would_fault(addr)):
+                elif fault:
                     htm.doom(txn, AbortStatus(ABORT_SYNC, detail="pagefault"))
                     result = False
                 else:
                     htm.track_read(txn, addr)
-                    cur = htm.read_through(txn, addr, memory.read)
-                    if cur == op[2]:
+                    writes = txn.writes
+                    cur = writes[addr] if addr in writes else data.get(addr, 0)
+                    result = cur == op[2]
+                    if result:
                         htm.track_write(txn, addr, op[3])
-                        result = True
-                    else:
-                        result = False
-            else:
-                if memory.touch(addr):
-                    cost += cfg.pagefault_cost
-                cur = memory.read(addr)
-                if cur == op[2]:
-                    memory.write(addr, op[3])
-                    result = True
-                else:
-                    result = False
-            self._count_mem(t, MEM_LOADS, addr, False)
-            if result:
-                self._count_mem(t, MEM_STORES, addr, True)
+                if counted:
+                    self._count_mem(t, MEM_LOADS, addr, False)
+                    if result:
+                        self._count_mem(t, MEM_STORES, addr, True)
         elif kind == OP_SYSCALL:
-            txn = htm.active.get(tid)
+            txn = active.get(tid)
             speculative = txn is not None and txn.doomed is None
             if speculative:
                 # unfriendly instruction: synchronous abort, syscall does
@@ -363,10 +398,18 @@ class Simulator:
             t.extra_cost = 0
         jitter = cfg.cost_jitter
         if jitter:
-            cost += t.rng.randrange(jitter + 1)
+            # t.rng.randrange(jitter + 1) with its rejection loop written
+            # out: the same getrandbits draws, so the same values
+            getrandbits = t.rng.getrandbits
+            k = self._jitter_bits
+            r = getrandbits(k)
+            while r > jitter:
+                r = getrandbits(k)
+            cost += r
         t.clock += cost
         t.last_value = result
-        self._count(t, CYCLES, cost)
+        if counted:
+            self._count(t, CYCLES, cost)
         if self.faults is not None and self.faults.storms_enabled:
             self._storm_tick(t, cost)
 

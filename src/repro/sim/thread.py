@@ -123,51 +123,67 @@ class ThreadContext:
     def txn(self) -> "Transaction | None":
         return self.sim.htm.active.get(self.tid)
 
-    def _ip(self) -> int:
-        """IP of the instruction being issued: frame base + caller's line."""
-        line = sys._getframe(2).f_lineno
-        frame = self.stack[-1]
-        frame[1] = line
-        ip = frame[0].base + line
-        self.cur_ip = ip
-        return ip
-
     # ---------------------------------------------------------- instructions
+    # Each method sets the IP of the instruction it issues: the base of
+    # the innermost visible frame plus the caller's source line.  The
+    # lookup is written out in every method (not shared through a helper)
+    # because one more Python call per instruction is measurable.
 
     def compute(self, cycles: int) -> OpGen:
         """Burn ``cycles`` of pure computation."""
-        self._ip()
+        line = sys._getframe(1).f_lineno
+        frame = self.stack[-1]
+        frame[1] = line
+        self.cur_ip = frame[0].base + line
         yield (OP_COMPUTE, cycles)
 
     def load(self, addr: int) -> OpGen:
         """Load the 8-byte word at ``addr``; returns its value."""
-        self._ip()
+        line = sys._getframe(1).f_lineno
+        frame = self.stack[-1]
+        frame[1] = line
+        self.cur_ip = frame[0].base + line
         value = yield (OP_LOAD, addr)
         return value
 
     def store(self, addr: int, value: int) -> OpGen:
         """Store ``value`` to the 8-byte word at ``addr``."""
-        self._ip()
+        line = sys._getframe(1).f_lineno
+        frame = self.stack[-1]
+        frame[1] = line
+        self.cur_ip = frame[0].base + line
         yield (OP_STORE, addr, value)
 
     def cas(self, addr: int, expected: int, new: int) -> OpGen:
         """Atomic compare-and-swap; returns True on success."""
-        self._ip()
+        line = sys._getframe(1).f_lineno
+        frame = self.stack[-1]
+        frame[1] = line
+        self.cur_ip = frame[0].base + line
         ok = yield (OP_CAS, addr, expected, new)
         return ok
 
     def syscall(self, kind: str = "write", cycles: int = 0) -> OpGen:
         """An HTM-unfriendly operation (system call); aborts transactions."""
-        self._ip()
+        line = sys._getframe(1).f_lineno
+        frame = self.stack[-1]
+        frame[1] = line
+        self.cur_ip = frame[0].base + line
         yield (OP_SYSCALL, kind, cycles)
 
     def barrier(self, barrier: Barrier) -> OpGen:
         """Block until all parties arrive."""
-        self._ip()
+        line = sys._getframe(1).f_lineno
+        frame = self.stack[-1]
+        frame[1] = line
+        self.cur_ip = frame[0].base + line
         yield (OP_BARRIER, barrier)
 
     def nop(self) -> OpGen:
-        self._ip()
+        line = sys._getframe(1).f_lineno
+        frame = self.stack[-1]
+        frame[1] = line
+        self.cur_ip = frame[0].base + line
         yield (OP_NOP,)
 
     # ----------------------------------------------------------------- calls
@@ -175,10 +191,22 @@ class ThreadContext:
     def call(self, fn: SimFunction, *args: Any, **kwargs: Any) -> OpGen:
         """Invoke a simulated function: visible to the stack and the LBR."""
         line = sys._getframe(1).f_lineno
-        frame = self.stack[-1]
+        stack = self.stack
+        frame = stack[-1]
         frame[1] = line
         callsite = frame[0].base + line
-        result = yield from self._call_at(callsite, fn, args, kwargs)
+        # the body of _call_at, written out to save a generator layer
+        active = self.sim.htm.active
+        self.cur_ip = callsite
+        self.lbr.push_call(callsite, fn.base, self.tid in active)
+        stack.append([fn, 0, callsite])
+        result = yield from fn.func(self, *args, **kwargs)
+        # an abort may have replaced self.stack by its snapshot
+        stack = self.stack
+        top = stack[-1]
+        ret_ip = top[0].base + top[1]
+        stack.pop()
+        self.lbr.push_ret(ret_ip, callsite + 1, self.tid in active)
         return result
 
     def _call_at(self, callsite: int, fn: SimFunction, args: tuple,
@@ -206,15 +234,28 @@ class ThreadContext:
         repeated aborts.  Equivalent to the paper's TM_BEGIN/TM_END pair.
         The runtime is entered through a visible ``tm_begin`` frame, so
         profiles show ``caller -> tm_begin -> ...`` exactly like the
-        paper's Figure 9.
+        paper's Figure 9.  The frame is pushed here, and the runtime's
+        ``execute`` is entered directly: the ``tm_begin`` function only
+        lends the frame its identity, never runs.
         """
         line = sys._getframe(1).f_lineno
-        frame = self.stack[-1]
+        stack = self.stack
+        frame = stack[-1]
         frame[1] = line
         callsite = frame[0].base + line
-        result = yield from self._call_at(
-            callsite, self.sim.rtm.tm_begin_fn, (body, name, callsite), {}
-        )
+        rtm = self.sim.rtm
+        fn = rtm.tm_begin_fn
+        active = self.sim.htm.active
+        self.cur_ip = callsite
+        self.lbr.push_call(callsite, fn.base, self.tid in active)
+        stack.append([fn, 0, callsite])
+        result = yield from rtm.execute(self, body, name=name,
+                                        callsite=callsite)
+        stack = self.stack
+        top = stack[-1]
+        ret_ip = top[0].base + top[1]
+        stack.pop()
+        self.lbr.push_ret(ret_ip, callsite + 1, self.tid in active)
         return result
 
     def arch_ip(self) -> int:

@@ -191,6 +191,29 @@ class TestDporSoundness:
             txns.append(_txn(tid, steps, capacity_at=capacity_at))
         return System(_scenario(*txns))
 
+    def test_dpor_reverses_a_race_behind_a_sleeping_step(self):
+        """A Hypothesis-found system DPOR used to under-explore.
+
+        T2's store to line 2 must be able to run before T0's sync (they
+        are dependent through T0's footprint), and T0's fallback
+        acquisition before T1 commits.  The race between T1's steps and
+        T0's ``acq`` can only be reversed by first running T2, whose
+        store T0's later steps wait on; starting T0 there re-runs its
+        sync, which the sleep set already covers.  DPOR found 22 of the
+        30 trace classes.
+        """
+        system = System(_scenario(
+            _txn(0, [(SYNC, -1), (READ, 2)]),
+            _txn(1, [(READ, 0), (READ, 0)]),
+            _txn(2, [(WRITE, 2)]),
+        ))
+        full = brute_enumerate(system)
+        dpor = dpor_explore(system, collect_traces=True)
+        assert full.complete and dpor.complete
+        assert len(full.canonical) == 30
+        assert dpor.canonical == full.canonical
+        assert dpor.edge_keys() == brute_explore(system).edge_keys()
+
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_dpor_covers_every_mazurkiewicz_trace(self, data):

@@ -22,6 +22,20 @@ hanging.  Instruction pointers are synthesized identically to the real
 engine (function base + source line), so the extracted region *sites* are
 the very addresses the dynamic profiler keys its critical-section table
 by — which is what makes static findings and dynamic profiles joinable.
+
+Ops run inline: ``ctx.load`` and friends interpret their op at the call
+and return its value without ever suspending, so an op costs one call
+instead of a resume of the whole ``yield from`` chain.  They stay
+generators so workload code drives them with ``yield from`` exactly as
+under the engine, and :meth:`SymbolicContext.drive` still interprets any
+raw op tuple a workload yields itself.
+
+A region records its cacheline sets as it runs.  When it closes, each of
+its containers that equals the same container of this thread's previous
+region at the same site is replaced by that object, so a spin loop's
+thousands of identical regions share a handful of sets.  A closed
+region's containers are therefore shared and read-only: analysis passes
+read them and build their own sets.
 """
 
 from __future__ import annotations
@@ -32,6 +46,7 @@ from random import Random
 from collections.abc import Callable, Generator
 from typing import Any
 
+from ..rtm.runtime import tm_begin
 from ..sim.config import MachineConfig, line_of
 from ..sim.engine import Program, Simulator
 from ..sim.memory import Memory
@@ -106,15 +121,46 @@ class RegionInstance:
     prev_ip: int | None = field(default=None, repr=False)
     #: True when the edge cap dropped at least one transition
     edges_truncated: bool = False
+    #: cachelines of ``read_addrs`` / ``write_addrs``, kept by the drive
+    read_line_set: set[int] = field(default_factory=set, repr=False)
+    write_line_set: set[int] = field(default_factory=set, repr=False)
 
     def read_lines(self) -> set[int]:
-        return {line_of(a) for a in self.read_addrs}
+        """The read set's cachelines (shared: do not mutate)."""
+        return self.read_line_set
 
     def write_lines(self) -> set[int]:
-        return {line_of(a) for a in self.write_addrs}
+        """The write set's cachelines (shared: do not mutate)."""
+        return self.write_line_set
 
     def footprint_lines(self) -> int:
-        return len(self.read_lines() | self.write_lines())
+        return len(self.read_line_set | self.write_line_set)
+
+
+def _share_containers(region: RegionInstance, prev: RegionInstance) -> None:
+    """Point ``region`` at each of ``prev``'s containers that it equals.
+
+    Dicts must also match in key order, since iteration order is part of
+    what a reader of ``edges`` or ``ip_lines`` sees.
+    """
+    if region.read_addrs == prev.read_addrs:
+        region.read_addrs = prev.read_addrs
+        region.read_line_set = prev.read_line_set
+    elif region.read_line_set == prev.read_line_set:
+        region.read_line_set = prev.read_line_set
+    if region.write_addrs == prev.write_addrs:
+        region.write_addrs = prev.write_addrs
+        region.write_line_set = prev.write_line_set
+    elif region.write_line_set == prev.write_line_set:
+        region.write_line_set = prev.write_line_set
+    if region.unfriendly == prev.unfriendly:
+        region.unfriendly = prev.unfriendly
+    if region.trace == prev.trace:
+        region.trace = prev.trace
+    if region.edges == prev.edges and list(region.edges) == list(prev.edges):
+        region.edges = prev.edges
+    if region.ip_lines == prev.ip_lines and list(region.ip_lines) == list(prev.ip_lines):
+        region.ip_lines = prev.ip_lines
 
 
 @dataclass
@@ -201,8 +247,12 @@ class ProgramIR:
         return any(t.truncated for t in self.threads)
 
 
-class _DriveStop(Exception):
-    """Internal: the op budget ran out; unwind the drive."""
+class _DriveStop(BaseException):
+    """Internal: the op budget ran out; unwind the drive.
+
+    A ``BaseException`` so that a workload's ``except Exception`` cannot
+    swallow it while it unwinds through workload frames.
+    """
 
 
 def _bump_edge(
@@ -224,13 +274,6 @@ def _bump_edge(
         return False
     edges[key] = 1
     return True
-
-
-def _tm_begin_fn() -> SimFunction:
-    # imported lazily: rtm.runtime registers the tm_begin frame function
-    from ..rtm.runtime import tm_begin
-
-    return tm_begin
 
 
 class SymbolicContext:
@@ -259,6 +302,10 @@ class SymbolicContext:
         # the engine's per-thread stream, reproduced bit-for-bit so data-
         # dependent control flow (striped indices, backoffs) matches runs
         self.rng = Random((seed + 1) * 1_000_003 + tid)
+        #: frames: [fn, line, callsite, prev_ip, FunctionIR | None]; the
+        #: slot stays None until the function's FunctionIR exists, which
+        #: is made when the drive first records something in it, so
+        #: ``functions`` keeps that order
         self.stack: list[list[Any]] = []
         self.cur_ip = 0
         self._memory = memory
@@ -269,6 +316,8 @@ class SymbolicContext:
         self._call_edges = call_edges
         self._overlay: dict[int, int] = {}
         self._open_regions: list[RegionInstance] = []
+        #: site -> this thread's last closed region there (sharing source)
+        self._last_closed: dict[int, RegionInstance] = {}
         self._epoch = 0
         #: hand-rolled spin locks currently held (CAS 0 -> nonzero seen
         #: outside any region, not yet released by a store of 0)
@@ -276,27 +325,32 @@ class SymbolicContext:
 
     # ------------------------------------------------------------- plumbing
 
-    def _ip(self) -> int:
-        """IP of the instruction being issued (engine-identical)."""
-        line = sys._getframe(2).f_lineno
-        frame = self.stack[-1]
-        frame[1] = line
-        ip = frame[0].base + line
-        self.cur_ip = ip
-        return ip
-
-    def _function_ir(self, fn: SimFunction) -> FunctionIR:
+    def _fill_ir_slot(self, frame: list[Any]) -> FunctionIR:
+        """Fill ``frame``'s empty FunctionIR slot (callers test it first)."""
+        fn = frame[0]
         fir = self._functions.get(fn.name)
         if fir is None:
             fir = FunctionIR(name=fn.name, base=fn.base)
             self._functions[fn.name] = fir
+        frame[4] = fir
         return fir
 
-    def _record_access(self, addr: int, is_write: bool, fir: FunctionIR | None = None) -> None:
+    def _record_access(self, addr: int, is_write: bool, fir: FunctionIR) -> None:
         if self._open_regions:
+            line = line_of(addr)
+            ip = self.cur_ip
             for region in self._open_regions:
-                (region.write_addrs if is_write else region.read_addrs).add(addr)
-                region.ip_lines.setdefault(self.cur_ip, set()).add(line_of(addr))
+                if is_write:
+                    region.write_addrs.add(addr)
+                    region.write_line_set.add(line)
+                else:
+                    region.read_addrs.add(addr)
+                    region.read_line_set.add(line)
+                lines = region.ip_lines.get(ip)
+                if lines is None:
+                    region.ip_lines[ip] = {line}
+                else:
+                    lines.add(line)
             target = self._trace.in_writes if is_write else self._trace.in_reads
             mode = "txn"
         else:
@@ -311,8 +365,14 @@ class SymbolicContext:
                 lsdict.setdefault(addr, {}).setdefault(lockset, set()).add(self._epoch)
                 for lock in self._locks_held:
                     per_lock.setdefault(lock, set()).add(self._epoch)
-        target.setdefault(addr, set()).add(self._epoch)
-        events = self._trace.events.setdefault(addr, [])
+        epochs = target.get(addr)
+        if epochs is None:
+            target[addr] = {self._epoch}
+        else:
+            epochs.add(self._epoch)
+        events = self._trace.events.get(addr)
+        if events is None:
+            events = self._trace.events[addr] = []
         if len(events) < self._limits.max_addr_events:
             events.append((
                 f"{mode}-{'w' if is_write else 'r'}",
@@ -320,32 +380,47 @@ class SymbolicContext:
                 self._epoch,
                 tuple(sorted(self._locks_held)),
             ))
-        if fir is not None:
-            fn_addrs = fir.write_addrs if is_write else fir.read_addrs
-            if len(fn_addrs) < self._limits.max_fn_addrs or addr in fn_addrs:
-                fn_addrs.add(addr)
-            else:
-                fir.addrs_truncated = True
+        fn_addrs = fir.write_addrs if is_write else fir.read_addrs
+        if len(fn_addrs) < self._limits.max_fn_addrs or addr in fn_addrs:
+            fn_addrs.add(addr)
+        else:
+            fir.addrs_truncated = True
 
     def _record_unfriendly(self, op: str, detail: str) -> None:
         for region in self._open_regions:
             region.unfriendly.append((op, detail, self.cur_ip))
 
-    def _interpret(self, op: tuple) -> Any:
+    def _interpret(self, op: tuple, line: int | None = None) -> Any:
+        """Interpret one op issued from source ``line`` of the top frame.
+
+        ``line`` is None for a raw op tuple yielded to :meth:`drive`,
+        which keeps the ip of the last issued op, as the engine does.
+        """
+        frame = self.stack[-1]
+        if line is None:
+            ip = self.cur_ip
+        else:
+            frame[1] = line
+            ip = self.cur_ip = frame[0].base + line
         trace = self._trace
+        limits = self._limits
         trace.total_ops += 1
-        if trace.total_ops > self._limits.max_ops:
+        if trace.total_ops > limits.max_ops:
+            # mark before raising: atomic() drops regions as the stop unwinds
+            trace.truncated = True
+            for region in self._open_regions:
+                region.truncated = True
             raise _DriveStop
         kind = op[0]
-        frame = self.stack[-1]
-        fir = self._function_ir(frame[0])
-        fir.op_counts[kind] = fir.op_counts.get(kind, 0) + 1
-        if len(fir.trace) < self._limits.max_trace_ops:
-            addr = op[1] if kind in MEMORY_OPS else None
-            fir.trace.append((kind, self.cur_ip, addr))
-        if not _bump_edge(fir.edges, frame[3], self.cur_ip, self._limits.max_cfg_edges):
+        addr = op[1] if kind in MEMORY_OPS else None
+        fir = frame[4] or self._fill_ir_slot(frame)
+        op_counts = fir.op_counts
+        op_counts[kind] = op_counts.get(kind, 0) + 1
+        if len(fir.trace) < limits.max_trace_ops:
+            fir.trace.append((kind, ip, addr))
+        if not _bump_edge(fir.edges, frame[3], ip, limits.max_cfg_edges):
             fir.edges_truncated = True
-        frame[3] = self.cur_ip
+        frame[3] = ip
         cfg = self._config
         cost = 0
         if kind == OP_COMPUTE:
@@ -362,21 +437,16 @@ class SymbolicContext:
         for region in self._open_regions:
             region.ops += 1
             region.cycles += cost
-            if not _bump_edge(
-                region.edges, region.prev_ip, self.cur_ip, self._limits.max_cfg_edges
-            ):
+            if not _bump_edge(region.edges, region.prev_ip, ip, limits.max_cfg_edges):
                 region.edges_truncated = True
-            region.prev_ip = self.cur_ip
-            if len(region.trace) < self._limits.max_region_trace:
-                region.trace.append(
-                    (kind, self.cur_ip, op[1] if kind in MEMORY_OPS else None)
-                )
+            region.prev_ip = ip
+            if len(region.trace) < limits.max_region_trace:
+                region.trace.append((kind, ip, addr))
         if kind == OP_LOAD:
-            addr = op[1]
             self._record_access(addr, False, fir)
-            return self._overlay.get(addr, self._memory.read(addr))
+            overlay = self._overlay
+            return overlay[addr] if addr in overlay else self._memory.read(addr)
         if kind == OP_STORE:
-            addr = op[1]
             self._record_access(addr, True, fir)
             self._overlay[addr] = op[2]
             # a store of 0 into a word this thread CAS-acquired is the
@@ -385,9 +455,9 @@ class SymbolicContext:
                 self._locks_held.remove(addr)
             return None
         if kind == OP_CAS:
-            addr = op[1]
             self._record_access(addr, False, fir)
-            cur = self._overlay.get(addr, self._memory.read(addr))
+            overlay = self._overlay
+            cur = overlay[addr] if addr in overlay else self._memory.read(addr)
             if cur == op[2]:
                 self._record_access(addr, True, fir)
                 self._overlay[addr] = op[3]
@@ -416,36 +486,43 @@ class SymbolicContext:
         raise ValueError(f"unknown op {op!r} in symbolic drive")
 
     # ------------------------------------------- the ThreadContext op API
+    # Each op runs inline and returns its value; the unreachable ``yield``
+    # keeps it a generator for the workload's ``yield from``.
 
     def compute(self, cycles: int) -> Generator[tuple, Any, None]:
-        self._ip()
-        yield (OP_COMPUTE, cycles)
+        self._interpret((OP_COMPUTE, cycles), sys._getframe(1).f_lineno)
+        return
+        yield
 
     def load(self, addr: int) -> Generator[tuple, Any, int]:
-        self._ip()
-        value = yield (OP_LOAD, addr)
-        return value
+        return self._interpret((OP_LOAD, addr), sys._getframe(1).f_lineno)
+        yield
 
     def store(self, addr: int, value: int) -> Generator[tuple, Any, None]:
-        self._ip()
-        yield (OP_STORE, addr, value)
+        self._interpret((OP_STORE, addr, value), sys._getframe(1).f_lineno)
+        return
+        yield
 
     def cas(self, addr: int, expected: int, new: int) -> Generator[tuple, Any, bool]:
-        self._ip()
-        ok = yield (OP_CAS, addr, expected, new)
-        return ok
+        return self._interpret(
+            (OP_CAS, addr, expected, new), sys._getframe(1).f_lineno
+        )
+        yield
 
     def syscall(self, kind: str = "write", cycles: int = 0) -> Generator[tuple, Any, None]:
-        self._ip()
-        yield (OP_SYSCALL, kind, cycles)
+        self._interpret((OP_SYSCALL, kind, cycles), sys._getframe(1).f_lineno)
+        return
+        yield
 
     def barrier(self, barrier: Barrier) -> Generator[tuple, Any, None]:
-        self._ip()
-        yield (OP_BARRIER, barrier)
+        self._interpret((OP_BARRIER, barrier), sys._getframe(1).f_lineno)
+        return
+        yield
 
     def nop(self) -> Generator[tuple, Any, None]:
-        self._ip()
-        yield (OP_NOP,)
+        self._interpret((OP_NOP,), sys._getframe(1).f_lineno)
+        return
+        yield
 
     def add(self, addr: int, delta: int = 1) -> Generator[tuple, Any, int]:
         value = yield from self.load(addr)
@@ -454,15 +531,17 @@ class SymbolicContext:
 
     # ----------------------------------------------------- calls / regions
 
-    def _record_callsite(self, frame: list[Any], callsite: int) -> None:
-        """Thread the callsite into the caller's (and open regions') CFG.
+    def _record_callsite(self, frame: list[Any], callsite: int, callee: str) -> None:
+        """Note ``callee`` and thread the callsite into the caller's (and
+        open regions') CFG.
 
         Callsites never reach :meth:`_interpret`, but a loop whose body is
         just a call or an ``atomic`` still needs its back edge counted —
         otherwise trip-count inference goes blind exactly where it
         matters most.
         """
-        fir = self._function_ir(frame[0])
+        fir = frame[4] or self._fill_ir_slot(frame)
+        fir.callees.add(callee)
         if not _bump_edge(fir.edges, frame[3], callsite, self._limits.max_cfg_edges):
             fir.edges_truncated = True
         frame[3] = callsite
@@ -480,9 +559,8 @@ class SymbolicContext:
         callsite = frame[0].base + line
         self.cur_ip = callsite
         self._call_edges.add((frame[0].name, fn.name))
-        self._function_ir(frame[0]).callees.add(fn.name)
-        self._record_callsite(frame, callsite)
-        self.stack.append([fn, 0, callsite, None])
+        self._record_callsite(frame, callsite, fn.name)
+        self.stack.append([fn, 0, callsite, None, self._functions.get(fn.name)])
         try:
             result = yield from fn.func(self, *args, **kwargs)
         finally:
@@ -501,10 +579,8 @@ class SymbolicContext:
         frame[1] = line
         callsite = frame[0].base + line
         self.cur_ip = callsite
-        tm_begin = _tm_begin_fn()
         self._call_edges.add((frame[0].name, tm_begin.name))
-        self._function_ir(frame[0]).callees.add(tm_begin.name)
-        self._record_callsite(frame, callsite)
+        self._record_callsite(frame, callsite, tm_begin.name)
         region = RegionInstance(
             site=callsite,
             name=name or getattr(body, "__name__", "cs"),
@@ -521,21 +597,27 @@ class SymbolicContext:
             root.max_depth = max(root.max_depth, region.depth)
         self._open_regions.append(region)
         self._trace.regions.append(region)
-        self.stack.append([tm_begin, 0, callsite, None])
+        self.stack.append(
+            [tm_begin, 0, callsite, None, self._functions.get(tm_begin.name)]
+        )
         try:
             result = yield from body(self)
         finally:
             self.stack.pop()
             if region in self._open_regions:
                 self._open_regions.remove(region)
+        prev = self._last_closed.get(callsite)
+        if prev is not None:
+            _share_containers(region, prev)
+        self._last_closed[callsite] = region
         return result
 
     # -------------------------------------------------------------- driver
 
     def drive(self, fn: SimFunction, args: tuple, kwargs: dict) -> None:
         """Run ``fn`` to completion (or budget exhaustion), recording IR."""
-        self.stack = [[fn, 0, 0, None]]
-        self._function_ir(fn)
+        self.stack = [[fn, 0, 0, None, None]]
+        self._fill_ir_slot(self.stack[0])
         gen = fn.func(self, *args, **kwargs)
         value: Any = None
         try:
@@ -546,9 +628,8 @@ class SymbolicContext:
                     break
                 value = self._interpret(op)
         except _DriveStop:
-            self._trace.truncated = True
-            for region in self._open_regions:
-                region.truncated = True
+            # a stop on a raw op leaves gen suspended at its yield; one
+            # inside an inline op has already unwound it
             gen.close()
 
 

@@ -148,8 +148,9 @@ def _hot_conflicts(regions: list[RegionInstance]) -> tuple[set[int], bool]:
     words_by_tid: dict[int, set[int] | None] = {}
     read_lines_by_tid: dict[int, set[int]] = {}
     for region in regions:
+        # the region's sets are shared with its IR: intersect, never mutate
         wl = region.write_lines()
-        wwords = set(region.write_addrs)
+        wwords = region.write_addrs
         have = lines_by_tid.get(region.tid)
         lines_by_tid[region.tid] = wl if have is None else have & wl
         havew = words_by_tid.get(region.tid)

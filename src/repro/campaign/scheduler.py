@@ -321,8 +321,19 @@ class CampaignRunner:
                 for key in [k for k in order
                             if k in pending and k not in submitted
                             and not unresolved[k]]:
-                    fut = self._submit(executor, campaign, key,
-                                       attempts.get(key, 0) + 1)
+                    attempt = attempts.get(key, 0) + 1
+                    try:
+                        fut = self._submit(executor, campaign, key, attempt)
+                    except BrokenProcessPool:
+                        # a worker died since the last wait(), so the pool
+                        # refuses work.  Futures in flight are poisoned:
+                        # wait() hands them to the rebuild branch below,
+                        # which charges the attempt.  With none in flight
+                        # there is nothing to charge; rebuild here.
+                        if inflight:
+                            break
+                        executor = self._rebuild_pool(executor)
+                        fut = self._submit(executor, campaign, key, attempt)
                     inflight[fut] = key
                     started[fut] = time.monotonic_ns()
                 if not inflight:  # pragma: no cover - graph is validated
@@ -344,9 +355,7 @@ class CampaignRunner:
                         # the worker died (segfault analogue); every
                         # other in-flight future is poisoned too —
                         # rebuild the pool and resubmit them all
-                        self.metrics.counter("campaign.pool.broken").inc()
-                        executor.shutdown(wait=False, cancel_futures=True)
-                        executor = self._new_pool()
+                        executor = self._rebuild_pool(executor)
                         inflight.clear()
                         started.clear()
                         attempts[key] = attempts.get(key, 0) + 1
@@ -375,19 +384,26 @@ class CampaignRunner:
         return ProcessPoolExecutor(max_workers=self.jobs,
                                    mp_context=_pool_context())
 
+    def _rebuild_pool(self, executor: ProcessPoolExecutor) -> ProcessPoolExecutor:
+        self.metrics.counter("campaign.pool.broken").inc()
+        executor.shutdown(wait=False, cancel_futures=True)
+        return self._new_pool()
+
     def _submit(self, executor: ProcessPoolExecutor, campaign: Campaign,
                 key: str, attempt: int) -> Future:
         spec = campaign.jobs[key]
+        # the worker enforces this with SIGALRM; trimming it to the
+        # remaining campaign budget is what carries a client deadline
+        # all the way down to the simulating process.  Submit before
+        # announcing: a broken pool raises here and nothing was sent.
+        fut = executor.submit(execute_job, spec.to_dict(),
+                              self._dep_records(campaign, spec),
+                              self._effective_timeout())
         self._trace_instant(key, "submit", attempt)
         self._emit({"type": "job", "state": "submit", "key": key,
                     "attempt": attempt})
         self.metrics.counter("campaign.submitted").inc()
-        # the worker enforces this with SIGALRM; trimming it to the
-        # remaining campaign budget is what carries a client deadline
-        # all the way down to the simulating process
-        return executor.submit(execute_job, spec.to_dict(),
-                               self._dep_records(campaign, spec),
-                               self._effective_timeout())
+        return fut
 
     # ------------------------------------------------------------- helpers
 

@@ -202,6 +202,40 @@ class TestFailurePolicy:
         assert records[crash]["value"] == 99
         assert [records[k]["value"] for k in keys] == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("broken_at", [1, 3])
+    def test_pool_broken_at_submit_is_rebuilt(self, monkeypatch, broken_at):
+        # a worker SIGKILLed between two wait() calls breaks the pool, and
+        # the next submit() raises before any future reports it.  At the
+        # 1st submit nothing is in flight; at the 3rd two leaves are.
+        from concurrent.futures.process import BrokenProcessPool
+
+        submits = []
+
+        class BreaksOnce:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def submit(self, *args, **kwargs):
+                submits.append(1)
+                if len(submits) == broken_at:
+                    raise BrokenProcessPool(
+                        "A child process terminated abruptly, the process "
+                        "pool is not usable anymore")
+                return self.inner.submit(*args, **kwargs)
+
+            def shutdown(self, **kwargs):
+                self.inner.shutdown(**kwargs)
+
+        make_pool = CampaignRunner._new_pool
+        monkeypatch.setattr(CampaignRunner, "_new_pool",
+                            lambda self: BreaksOnce(make_pool(self)))
+        pool = CampaignRunner(store=MemoryStore(), jobs=2)
+        records = pool.run(sum_dag())
+        serial = CampaignRunner(store=MemoryStore(), jobs=1).run(sum_dag())
+        assert json.dumps(records, sort_keys=True) == \
+            json.dumps(serial, sort_keys=True)
+        assert len(submits) == 5 + 1  # every job once, plus the refused one
+
 
 class TestMidRunKills:
     """mode="kill_mid_run": the worker dies *inside* the simulation

@@ -34,7 +34,6 @@ scheduler never reorders anything a result depends on.
 from .scheduler import CampaignError, CampaignRunner, JobFailed, RetryPolicy
 from .spec import Campaign, JobSpec
 from .store import MemoryStore, ResultStore, StoreError
-from .worker import outcome_from_record
 
 __all__ = [
     "Campaign",
@@ -46,5 +45,4 @@ __all__ = [
     "ResultStore",
     "RetryPolicy",
     "StoreError",
-    "outcome_from_record",
 ]

@@ -7,8 +7,7 @@ It dispatches on :attr:`JobSpec.kind`:
 ``run``
     one :func:`repro.experiments.runner.run_workload` invocation; the
     record carries the full :class:`RunResult` plus the profile
-    database (when ``profile=True``) so a cache hit can reconstruct a
-    usable :class:`Outcome` without re-simulating.
+    database and replay log (when ``profile=True``).
 ``overhead``
     §7.1's trimmed mean over interleaved (native, sampled) run deps.
 ``speedup``
@@ -39,17 +38,12 @@ import signal
 from collections.abc import Iterator
 from contextlib import contextmanager
 from types import FrameType
-from typing import TYPE_CHECKING
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from ..core.export import profile_from_dict, profile_to_dict
+from ..core.export import profile_to_dict
 from ..sim.config import MachineConfig
-from ..sim.engine import RunResult
 from .spec import JobSpec
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..experiments.runner import Outcome
 
 
 class JobTimeout(Exception):
@@ -145,9 +139,8 @@ def _arm_kill(spec: JobSpec, overrides: dict) -> JobSpec:
 
 
 def _run_job(spec: JobSpec, deps: dict[str, dict]) -> dict:
-    # imported here: repro.experiments.runner lazily imports this
-    # package for its store-aware paths, so a module-level import would
-    # be circular
+    # imported here so that importing the campaign package does not
+    # load every workload module
     from ..experiments.runner import run_workload
 
     config = None
@@ -251,23 +244,3 @@ def execute_job(spec_dict: dict, dep_records: dict[str, dict],
                 spec = _arm_kill(spec, overrides)
         return handler(spec, dep_records)
 
-
-# ---------------------------------------------------------------------------
-# record → Outcome reconstruction
-# ---------------------------------------------------------------------------
-
-
-def outcome_from_record(record: dict) -> Outcome:
-    """Rebuild a harness-usable :class:`Outcome` from a cached run
-    record.  ``sim``/``profiler``/``instrument``/``obs`` are ``None`` —
-    a cache hit has no live simulator — but ``result`` and ``profile``
-    are exact reconstructions of the original run's."""
-    from ..experiments.runner import Outcome
-
-    if record.get("kind") != "run":
-        raise ValueError(f"not a run record (kind={record.get('kind')!r})")
-    profile = None
-    if "profile_db" in record:
-        profile = profile_from_dict(record["profile_db"])
-    return Outcome(result=RunResult(**record["result"]), profile=profile,
-                   replay_log=record.get("replay_log"))

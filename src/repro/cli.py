@@ -22,9 +22,9 @@ event tracer, and the ``repro.campaign`` batch orchestrator)::
 All commands accept ``--threads``, ``--scale`` and ``--seed``; the
 global ``-v``/``-q`` flags (before the subcommand) adjust verbosity.
 
-The measurement commands (``measure-overhead``, ``measure-speedup``,
-``table1``, ``figure7``, ``figure8``) submit their runs through the
-campaign layer: results are cached content-addressed under
+The measurement commands ``measure-overhead``, ``measure-speedup``,
+``figure7`` and ``figure8`` each run ``repro campaign <suite>`` with
+their own defaults: results are cached content-addressed under
 ``.repro-cache/`` (override with ``--cache-dir`` or ``REPRO_CACHE_DIR``,
 disable with ``--no-cache``), re-runs are incremental, and ``--jobs N``
 executes independent runs on N worker processes.  The campaign summary
@@ -43,6 +43,7 @@ from contextlib import closing
 
 from . import htmbench
 from .campaign.scheduler import CampaignError, CampaignRunner, RetryPolicy
+from .campaign.spec import make_run_spec
 from .campaign.store import MemoryStore, ResultStore
 from .campaign.suites import (
     SUITES,
@@ -61,7 +62,7 @@ from .core.export import (
     save_profile,
 )
 from .core.report import render_full_report, render_self_diagnostics
-from .experiments.runner import cached_run, run_workload
+from .experiments.runner import run_workload
 from .obs.metrics import format_snapshot
 from .obs.selfprof import diagnose
 from .sim.config import DEFAULT_THREADS
@@ -542,19 +543,21 @@ def _metrics_brief(snapshot: dict) -> str:
             f"samples={val('pmu.samples')}")
 
 
-def _make_runner(args, tracer=None) -> CampaignRunner:
-    """A campaign runner wired to the CLI's store/parallelism flags.
+def _cache_root(args) -> str:
+    """The result-store directory: ``--cache-dir``, then
+    ``$REPRO_CACHE_DIR``, then ``.repro-cache``."""
+    return (getattr(args, "cache_dir", None)
+            or os.environ.get("REPRO_CACHE_DIR")
+            or ".repro-cache")
 
-    Store resolution: ``--no-cache`` keeps results in memory;
-    otherwise ``--cache-dir``, then ``$REPRO_CACHE_DIR``, then
-    ``.repro-cache``."""
+
+def _make_runner(args, tracer=None) -> CampaignRunner:
+    """A campaign runner wired to the CLI's store/parallelism flags;
+    ``--no-cache`` keeps results in memory."""
     if getattr(args, "no_cache", False):
         store = MemoryStore()
     else:
-        root = (getattr(args, "cache_dir", None)
-                or os.environ.get("REPRO_CACHE_DIR")
-                or ".repro-cache")
-        store = ResultStore(root)
+        store = ResultStore(_cache_root(args))
     retries = getattr(args, "retries", None)
     return CampaignRunner(
         store=store,
@@ -576,22 +579,6 @@ def _campaign_note(runner: CampaignRunner, name: str) -> None:
     print(f"[campaign {name}] jobs={s['jobs']} cache-hits={s['hits']} "
           f"executed={s['executed']} retries={s['retries']} "
           f"hit-rate={s['hit_rate']:.0%}", file=sys.stderr)
-
-
-def _render_figure7_rows(rows) -> int:
-    """Figure 7 rendering + narrative check, shared by the serial and
-    campaign paths so both produce the same stdout and exit code."""
-    from .experiments.clomp import check_expectations, render_figure7
-
-    _log.info(render_figure7(rows))
-    problems = check_expectations(rows)
-    if problems:
-        _log.info("\nnarrative check FAILED:")
-        for prob in problems:
-            _log.info(f"  ! {prob}")
-        return 1
-    _log.info("\nnarrative check: OK (all Figure 7 observations hold)")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +634,16 @@ def _load_baseline(path: str) -> dict[str, set[tuple]]:
 
 
 def cmd_check(args) -> int:
+    if not args.incremental:
+        return _check(args, None)
+    from .analysis.dataflow import SummaryCache
+    from .obs.metrics import MetricsRegistry
+
+    with closing(ResultStore(_cache_root(args))) as store:
+        return _check(args, SummaryCache(store, metrics=MetricsRegistry()))
+
+
+def _check(args, dataflow_cache) -> int:
     import json
 
     from .analysis import analyze_workload, cross_validate, severity_rank
@@ -658,17 +655,6 @@ def cmd_check(args) -> int:
         render_prediction,
         render_races,
     )
-
-    dataflow_cache = None
-    if args.incremental:
-        from .analysis.dataflow import SummaryCache
-        from .obs.metrics import MetricsRegistry
-
-        root = (args.cache_dir
-                or os.environ.get("REPRO_CACHE_DIR")
-                or ".repro-cache")
-        dataflow_cache = SummaryCache(ResultStore(root),
-                                      metrics=MetricsRegistry())
 
     baseline: dict[str, set[tuple]] = {}
     if args.baseline and not args.write_baseline:
@@ -1051,6 +1037,99 @@ def cmd_chaos(args) -> int:
     return 0 if report.ok else 1
 
 
+def _metrics_runs(suite: str, campaign,
+                  args) -> dict[str, list[tuple[str, str]]]:
+    """Add the ``--metrics`` runs to ``campaign`` as extra run-job
+    targets: one profiled run per overhead workload, a (naive,
+    optimized) pair per speedup program.  Returns ``{row name:
+    [(line prefix, job key), ...]}``."""
+
+    def add(workload: str, profile: bool = False) -> str:
+        return campaign.add(make_run_spec(
+            workload, n_threads=args.threads, scale=args.scale,
+            seed=args.seed, profile=profile, metrics=True,
+        ), target=True)
+
+    if suite == "overhead":
+        return {name: [(f"{'':22s}   ", add(name, profile=True))]
+                for name, _ in campaign.meta}
+    return {name: [("  naive    : ", add(name)),
+                   ("  optimized: ", add(opt))]
+            for name, opt, _, _ in campaign.meta}
+
+
+def _print_suite(suite: str, campaign, records: dict[str, dict],
+                 extras: dict[str, list[str]] | None = None) -> int:
+    """Print a suite's rows, as ``repro campaign <suite>`` and the
+    matching per-figure command both do; ``extras`` maps a row name to
+    the lines printed under that row.  Returns the exit code."""
+    extras = extras or {}
+    if suite == "table1":
+        from .experiments.clomp import render_table1
+
+        _log.info(render_table1())
+    elif suite == "figure7":
+        from .experiments.clomp import check_expectations, render_figure7
+
+        rows = clomp_rows_from_records(campaign, records)
+        _log.info(render_figure7(rows))
+        problems = check_expectations(rows)
+        if problems:
+            _log.info("\nnarrative check FAILED:")
+            for prob in problems:
+                _log.info(f"  ! {prob}")
+            return 1
+        _log.info("\nnarrative check: OK (all Figure 7 observations hold)")
+    elif suite == "figure8":
+        from .experiments.categorize import render_figure8
+
+        _log.info(render_figure8(figure8_rows_from_records(campaign,
+                                                           records)))
+    elif suite == "overhead":
+        total = 0.0
+        rows = overhead_rows_from_records(campaign, records)
+        for name, mean, runs in rows:
+            total += mean
+            spread = f"[{min(runs):+.1%}, {max(runs):+.1%}]"
+            _log.info(f"{name:22s} {mean:+8.2%}  {spread}")
+            for line in extras.get(name, ()):
+                _log.info(line)
+        _log.info(f"{'MEAN':22s} {total / len(rows):+8.2%}")
+    else:  # speedup
+        for name, _opt, paper, s in speedup_rows_from_records(campaign,
+                                                              records):
+            _log.info(f"{name:14s} {s:5.2f}x   (paper: {paper:.2f}x)")
+            for line in extras.get(name, ()):
+                _log.info(line)
+    return 0
+
+
+def _run_suite(args, suite: str, **kwargs) -> int:
+    """Run ``suite`` through :func:`_make_runner` and print its rows:
+    the body of the per-figure commands.  ``kwargs`` go to the suite's
+    builder; a failed job exits 2."""
+    runner = _make_runner(args)
+    with closing(runner.store):
+        try:
+            campaign = build_campaign(suite, n_threads=args.threads,
+                                      scale=args.scale, seed=args.seed,
+                                      **kwargs)
+            metrics = (_metrics_runs(suite, campaign, args)
+                       if getattr(args, "metrics", False) else {})
+            records = runner.run(campaign)
+        except CampaignError as exc:
+            _log.error(str(exc))
+            return 2
+        extras = {
+            name: [prefix + _metrics_brief(records[key]["result"]["metrics"])
+                   for prefix, key in keys]
+            for name, keys in metrics.items()
+        }
+        rc = _print_suite(suite, campaign, records, extras)
+        _campaign_note(runner, campaign.name)
+        return rc
+
+
 def cmd_measure_overhead(args) -> int:
     from .experiments.overhead import FIG5_BENCHMARKS
 
@@ -1069,33 +1148,8 @@ def cmd_measure_overhead(args) -> int:
                    f"runs={args.runs}, drop={drop} "
                    f"(need runs > {2 * drop})")
         return 2
-    runner = _make_runner(args)
-    with closing(runner.store):
-        try:
-            campaign = build_campaign(
-                "overhead", n_threads=args.threads, scale=args.scale,
-                workloads=names, runs=args.runs, drop=drop,
-            )
-            records = runner.run(campaign)
-        except CampaignError as exc:
-            _log.error(str(exc))
-            return 2
-        total = 0.0
-        for name, mean, runs in overhead_rows_from_records(campaign,
-                                                           records):
-            total += mean
-            spread = f"[{min(runs):+.1%}, {max(runs):+.1%}]"
-            _log.info(f"{name:22s} {mean:+8.2%}  {spread}")
-            if args.metrics:
-                extra = cached_run(runner.store, name,
-                                   n_threads=args.threads,
-                                   scale=args.scale, seed=args.seed,
-                                   profile=True, metrics=True)
-                _log.info(f"{'':22s}   "
-                          f"{_metrics_brief(extra.result.metrics)}")
-        _log.info(f"{'MEAN':22s} {total / len(names):+8.2%}")
-        _campaign_note(runner, campaign.name)
-        return 0
+    return _run_suite(args, "overhead", workloads=names, runs=args.runs,
+                      drop=drop)
 
 
 def cmd_measure_speedup(args) -> int:
@@ -1114,35 +1168,7 @@ def cmd_measure_speedup(args) -> int:
             known.append(name)
     if not known:
         return rc
-    runner = _make_runner(args)
-    with closing(runner.store):
-        try:
-            campaign = build_campaign(
-                "speedup", n_threads=args.threads, scale=args.scale,
-                seed=args.seed, workloads=known,
-            )
-            records = runner.run(campaign)
-        except CampaignError as exc:
-            _log.error(str(exc))
-            return 2
-        for name, opt, paper, s in speedup_rows_from_records(campaign,
-                                                             records):
-            _log.info(f"{name:14s} {s:5.2f}x   (paper: {paper:.2f}x)")
-            if args.metrics:
-                base = cached_run(runner.store, name,
-                                  n_threads=args.threads,
-                                  scale=args.scale, seed=args.seed,
-                                  metrics=True)
-                optimized = cached_run(runner.store, opt,
-                                       n_threads=args.threads,
-                                       scale=args.scale, seed=args.seed,
-                                       metrics=True)
-                _log.info(f"  naive    : "
-                          f"{_metrics_brief(base.result.metrics)}")
-                _log.info(f"  optimized: "
-                          f"{_metrics_brief(optimized.result.metrics)}")
-        _campaign_note(runner, campaign.name)
-        return rc
+    return _run_suite(args, "speedup", workloads=known) or rc
 
 
 def cmd_table1(args) -> int:
@@ -1156,35 +1182,11 @@ def cmd_table1(args) -> int:
 
 
 def cmd_figure7(args) -> int:
-    runner = _make_runner(args)
-    with closing(runner.store):
-        try:
-            campaign = build_campaign("figure7", n_threads=args.threads,
-                                      scale=args.scale, seed=args.seed)
-            records = runner.run(campaign)
-        except CampaignError as exc:
-            _log.error(str(exc))
-            return 2
-        rc = _render_figure7_rows(clomp_rows_from_records(campaign, records))
-        _campaign_note(runner, campaign.name)
-        return rc
+    return _run_suite(args, "figure7")
 
 
 def cmd_figure8(args) -> int:
-    from .experiments.categorize import render_figure8
-
-    runner = _make_runner(args)
-    with closing(runner.store):
-        try:
-            campaign = build_campaign("figure8", n_threads=args.threads,
-                                      scale=args.scale, seed=args.seed)
-            records = runner.run(campaign)
-        except CampaignError as exc:
-            _log.error(str(exc))
-            return 2
-        _log.info(render_figure8(figure8_rows_from_records(campaign, records)))
-        _campaign_note(runner, campaign.name)
-        return 0
+    return _run_suite(args, "figure8")
 
 
 def cmd_campaign(args) -> int:
@@ -1243,34 +1245,7 @@ def cmd_campaign(args) -> int:
         except CampaignError as exc:
             _log.error(str(exc))
             return 1
-        if args.suite == "table1":
-            from .experiments.clomp import render_table1
-
-            _log.info(render_table1())
-            rc = 0
-        elif args.suite == "figure7":
-            rc = _render_figure7_rows(
-                clomp_rows_from_records(campaign, records))
-        elif args.suite == "figure8":
-            from .experiments.categorize import render_figure8
-
-            _log.info(render_figure8(
-                figure8_rows_from_records(campaign, records)))
-            rc = 0
-        elif args.suite == "overhead":
-            total = 0.0
-            rows = overhead_rows_from_records(campaign, records)
-            for name, mean, runs in rows:
-                total += mean
-                spread = f"[{min(runs):+.1%}, {max(runs):+.1%}]"
-                _log.info(f"{name:22s} {mean:+8.2%}  {spread}")
-            _log.info(f"{'MEAN':22s} {total / len(rows):+8.2%}")
-            rc = 0
-        else:  # speedup
-            for name, _opt, paper, s in \
-                    speedup_rows_from_records(campaign, records):
-                _log.info(f"{name:14s} {s:5.2f}x   (paper: {paper:.2f}x)")
-            rc = 0
+        rc = _print_suite(args.suite, campaign, records)
         _campaign_note(runner, campaign.name)
         if args.compact:
             dropped = runner.store.compact()
@@ -1297,8 +1272,7 @@ def cmd_serve(args) -> int:
     from .serve import ServeDaemon
     from .serve.server import run_server
 
-    root = (args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-            or ".repro-cache")
+    root = _cache_root(args)
     daemon = ServeDaemon(store=ResultStore(root, background=True),
                          runners=args.runners, default_jobs=args.jobs,
                          retries=args.retries,
@@ -1389,8 +1363,7 @@ def cmd_status(args) -> int:
 def cmd_store(args) -> int:
     from .campaign.store import scrub_files
 
-    root = (args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-            or ".repro-cache")
+    root = _cache_root(args)
     if not os.path.isdir(root):
         _log.error(f"no result store at {root}")
         return 2

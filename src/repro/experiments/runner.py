@@ -3,12 +3,10 @@
 The paper's measurement protocol (§7.1) is reproduced: overhead numbers
 average five of seven runs, dropping the smallest and largest.
 
-:func:`trimmed_mean_overhead` and :func:`speedup` optionally route
-their runs through a :mod:`repro.campaign` result store: pass
-``store=`` and every (workload, threads, scale, seed, config, profile)
-combination is executed at most once ever — the native run a speedup
-measurement produces is the same content-addressed record the overhead
-protocol reads back, and vice versa.
+:func:`trimmed_mean_overhead` and :func:`speedup` run serially in
+process; ``repro campaign overhead``/``speedup`` run the same protocols
+through :mod:`repro.campaign`, which caches every run in its result
+store.
 """
 
 from __future__ import annotations
@@ -32,12 +30,7 @@ WorkloadLike = str | Workload
 
 @dataclass
 class Outcome:
-    """One run's artifacts.
-
-    ``sim``/``profiler``/``instrument``/``obs`` are ``None`` when the
-    outcome was reconstructed from a cached campaign record rather than
-    a live simulation.
-    """
+    """One run's artifacts."""
 
     result: RunResult
     sim: Simulator | None = None
@@ -138,36 +131,6 @@ def run_workload(
     )
 
 
-def cached_run(
-    store,
-    workload: str,
-    n_threads: int = DEFAULT_THREADS,
-    scale: float = 1.0,
-    seed: int = 0,
-    config: MachineConfig | None = None,
-    profile: bool = False,
-    metrics: bool = False,
-    **params,
-) -> Outcome:
-    """A content-addressed :func:`run_workload`: look the run up in the
-    campaign ``store`` and only simulate on a miss.  The returned
-    outcome is reconstructed from the stored record either way, so
-    cached and fresh calls are bit-identical."""
-    from ..campaign.spec import make_run_spec
-    from ..campaign.worker import execute_job, outcome_from_record
-
-    spec = make_run_spec(
-        workload, n_threads=n_threads, scale=scale, seed=seed,
-        config=config, profile=profile, metrics=metrics,
-        params=params or None,
-    )
-    record = store.get(spec.key)
-    if record is None:
-        record = execute_job(spec.to_dict(), {})
-        store.put(spec.key, record)
-    return outcome_from_record(record)
-
-
 def trimmed_mean_overhead(
     workload: WorkloadLike,
     n_threads: int = DEFAULT_THREADS,
@@ -175,17 +138,11 @@ def trimmed_mean_overhead(
     config: MachineConfig | None = None,
     runs: int = 7,
     drop: int = 1,
-    store=None,
     **params,
 ) -> tuple[float, list[float]]:
     """§7.1's protocol: run ``runs`` seeds native and sampled, compute the
     per-seed makespan overhead, drop the ``drop`` smallest and largest,
     and average the rest.  Returns ``(mean_overhead, all_overheads)``.
-
-    With a ``store``, each (native, sampled) run is fetched from — or
-    computed once into — the campaign result store, so runs shared with
-    other protocols (e.g. :func:`speedup`'s native run for the same
-    seed) are never re-simulated.
     """
     if drop and runs <= 2 * drop:
         raise ValueError(
@@ -194,11 +151,6 @@ def trimmed_mean_overhead(
         )
 
     def one(seed: int, profiled: bool) -> Outcome:
-        if store is not None and isinstance(workload, str):
-            return cached_run(
-                store, workload, n_threads=n_threads, scale=scale,
-                seed=seed, config=config, profile=profiled, **params,
-            )
         return run_workload(
             workload, n_threads=n_threads, scale=scale, seed=seed,
             config=config, profile=profiled, **params,
@@ -226,19 +178,10 @@ def speedup(
     config: MachineConfig | None = None,
     baseline_params: dict | None = None,
     optimized_params: dict | None = None,
-    store=None,
 ) -> tuple[float, Outcome, Outcome]:
-    """Makespan ratio baseline/optimized (>1 means the fix helps).
-
-    With a ``store``, both runs go through the campaign result store
-    (see :func:`trimmed_mean_overhead`)."""
+    """Makespan ratio baseline/optimized (>1 means the fix helps)."""
 
     def one(workload: WorkloadLike, params: dict | None) -> Outcome:
-        if store is not None and isinstance(workload, str):
-            return cached_run(
-                store, workload, n_threads=n_threads, scale=scale,
-                seed=seed, config=config, **(params or {}),
-            )
         return run_workload(
             workload, n_threads=n_threads, scale=scale, seed=seed,
             config=config, **(params or {}),

@@ -115,36 +115,35 @@ class TestDeterminismAndCaching:
 
 
 class TestSharedNativeRuns:
-    """Satellite: overhead and speedup share (workload, seed, native)
-    runs through the store, and cached results equal fresh ones."""
+    """Satellite: overhead and speedup campaigns share (workload, seed,
+    native) runs through the store, and cached results equal fresh
+    ones."""
 
     def test_speedup_native_feeds_overhead(self):
-        from repro.htmbench.optimized import TABLE2
-
-        naive, opt, _, _ = next(r for r in TABLE2 if r[0] == "ua")
         store = MemoryStore()
-        speedup(naive, opt, n_threads=2, scale=0.2, seed=0, store=store)
-        runs_before = len(store)
-        store.hits = store.misses = 0
-        mean_cached, overheads_cached = trimmed_mean_overhead(
-            naive, n_threads=2, scale=0.2, runs=3, drop=1, store=store)
-        # seed-0 native was already computed by the speedup measurement
-        assert store.hits >= 1
-        assert len(store) == runs_before + 5  # 6 runs needed, 1 shared
-        mean_fresh, overheads_fresh = trimmed_mean_overhead(
-            naive, n_threads=2, scale=0.2, runs=3, drop=1)
-        assert mean_cached == mean_fresh
-        assert overheads_cached == overheads_fresh
+        speed, _, _ = run_suite("speedup", store=store, workloads=["ua"],
+                                **SMALL)
+        before = set(store.keys())
+        overhead, cached, runner = run_suite(
+            "overhead", store=store, workloads=["ua"], runs=3, drop=1,
+            **SMALL)
+        # seed-0 native was already computed by the speedup campaign
+        shared = set(speed.jobs) & set(overhead.jobs)
+        assert len(shared) == 1
+        assert runner.summary()["hits"] == 1
+        assert set(store.keys()) - before == set(overhead.jobs) - shared
+        _, fresh, _ = run_suite("overhead", workloads=["ua"], runs=3,
+                                drop=1, **SMALL)
+        assert cached == fresh
 
     def test_cached_equals_fresh_on_rerun(self):
         store = MemoryStore()
-        first = trimmed_mean_overhead("micro_low_abort", n_threads=2,
-                                      scale=0.2, runs=3, store=store)
-        hits_before = store.hits
-        again = trimmed_mean_overhead("micro_low_abort", n_threads=2,
-                                      scale=0.2, runs=3, store=store)
+        kw = dict(workloads=["micro_low_abort"], runs=3, **SMALL)
+        _, first, _ = run_suite("overhead", store=store, **kw)
+        _, again, runner = run_suite("overhead", store=store, **kw)
         assert again == first
-        assert store.hits == hits_before + 6  # every run was a hit
+        s = runner.summary()
+        assert s["hit_rate"] == 1.0 and s["executed"] == 0
 
 
 class TestCampaignCLI:

@@ -97,6 +97,50 @@ class TestMeasurementCommands:
         rc, out = run_cli("table1")
         assert rc == 0 and "Adjacent" in out
 
+    def test_measure_overhead_metrics_lines(self, tmp_path, capsys):
+        from repro.cli import _metrics_brief
+        from repro.experiments.runner import run_workload
+
+        names = ("micro_low_abort", "micro_high_abort")
+        argv = ("measure-overhead", *names, "--threads", "2",
+                "--scale", "0.2", "--runs", "3", "--metrics",
+                "--cache-dir", str(tmp_path / "cache"))
+        rc, out = run_cli(*argv)
+        assert rc == 0
+        lines = out.splitlines()
+        for name in names:
+            direct = run_workload(name, n_threads=2, scale=0.2, seed=0,
+                                  profile=True, metrics=True)
+            row = next(i for i, line in enumerate(lines)
+                       if line.startswith(name))
+            assert lines[row + 1] == \
+                f"{'':22s}   {_metrics_brief(direct.result.metrics)}"
+        capsys.readouterr()
+        rc, again = run_cli(*argv)
+        assert rc == 0 and again == out
+        assert "hit-rate=100%" in capsys.readouterr().err
+
+    def test_measure_speedup_metrics_lines(self, tmp_path, capsys):
+        from repro.cli import _metrics_brief
+        from repro.experiments.runner import run_workload
+        from repro.htmbench.optimized import TABLE2
+
+        opt = next(row[1] for row in TABLE2 if row[0] == "ua")
+        argv = ("measure-speedup", "ua", "--threads", "6", "--scale",
+                "0.4", "--metrics", "--cache-dir", str(tmp_path / "cache"))
+        rc, out = run_cli(*argv)
+        assert rc == 0
+        naive, optimized = (
+            _metrics_brief(run_workload(w, n_threads=6, scale=0.4, seed=0,
+                                        metrics=True).result.metrics)
+            for w in ("ua", opt))
+        assert out.splitlines()[1:] == [f"  naive    : {naive}",
+                                        f"  optimized: {optimized}"]
+        capsys.readouterr()
+        rc, again = run_cli(*argv)
+        assert rc == 0 and again == out
+        assert "hit-rate=100%" in capsys.readouterr().err
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_repro(self):
@@ -182,6 +226,16 @@ class TestCheckCommand:
         assert "capacity-risk" in out
         assert "predicts 'capacity' aborts" in out
         assert "documented findings" in out
+
+    def test_incremental_closes_its_store(self, tmp_path):
+        # a closed store has flushed its memtable into a segment; an
+        # unclosed one leaves only the manifest and the write-ahead log
+        cache = tmp_path / "df-cache"
+        rc, _ = run_cli("-q", "check", "micro_low_abort", "micro_high_abort",
+                        "--static-only", "--incremental", "--cache-dir",
+                        str(cache), "--threads", "4", "--scale", "0.25")
+        assert rc == 0
+        assert list(cache.glob("seg-*.jsonl"))
 
     def test_crossval_pane_present_by_default(self):
         rc, out = run_cli("check", "micro_sync", "--threads", "2",

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.core.export import profile_to_dict
+from repro.core.export import profile_from_dict, profile_to_dict
 from repro.core.report import render_data_quality
 from repro.experiments.runner import run_workload
 from repro.faults.plan import FaultPlan
@@ -288,7 +288,7 @@ class TestIntegrations:
     def test_campaign_store_sidecars(self, tmp_path):
         from repro.campaign.spec import JobSpec
         from repro.campaign.store import ResultStore
-        from repro.campaign.worker import execute_job, outcome_from_record
+        from repro.campaign.worker import execute_job
 
         spec = JobSpec(kind="run", workload="micro_high_abort",
                        n_threads=4, scale=0.25, seed=7, profile=True)
@@ -302,9 +302,9 @@ class TestIntegrations:
         cached = store.get(spec.key)
         assert cached["replay_log"] == record["replay_log"]
         assert "replay" not in cached
-        out = outcome_from_record(cached)
-        replayed = replay_profile(loads_replay(out.replay_log))
-        assert _bytes(replayed) == _bytes(out.profile)
+        replayed = replay_profile(loads_replay(cached["replay_log"]))
+        assert _bytes(replayed) == _bytes(
+            profile_from_dict(cached["profile_db"]))
 
         # compaction keeps live sidecars and prunes orphans
         orphan = sidecar.parent / ("e" * 64 + ".rlog")

@@ -12,10 +12,12 @@ jobs whose records are not already in the store:
   ``jobs=1`` the runner degrades gracefully to serial in-process
   execution (no pool, no pickling — the debugging-friendly path).
 * **failure policy** — each job gets ``RetryPolicy.max_attempts``
-  attempts with exponential backoff; a worker that raises, times out
-  (per-job ``timeout``, enforced by ``SIGALRM`` inside the worker) or
-  dies outright (``BrokenProcessPool`` — the pool is rebuilt) consumes
-  an attempt.  A job that exhausts its attempts raises
+  attempts with exponential backoff; a worker that times out (per-job
+  ``timeout``, enforced by ``SIGALRM`` inside the worker), dies
+  outright (``BrokenProcessPool`` — the pool is rebuilt), hits an
+  ``OSError`` or an injected fault consumes an attempt.  Jobs are
+  seeded and deterministic, so any other exception would only recur:
+  it fails the job on its first attempt.  A failed job raises
   :class:`JobFailed` after in-flight siblings drain.
 
 Scheduler decisions are observable: a ``repro.obs`` metrics registry
@@ -39,13 +41,19 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
+from ..faults.inject import WorkerKilled
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from .spec import Campaign, JobSpec
 from .store import MemoryStore, ResultStore
-from .worker import execute_job
+from .worker import InjectedFault, JobTimeout, execute_job
 
 _log = logging.getLogger("repro.campaign")
+
+#: failures a second attempt can change; a seeded job that raises
+#: anything else raises it again
+RETRYABLE = (BrokenProcessPool, JobTimeout, OSError, InjectedFault,
+             WorkerKilled)
 
 
 class CampaignError(RuntimeError):
@@ -433,15 +441,14 @@ class CampaignRunner:
                       exc: BaseException) -> bool:
         """Record a failed attempt; True when a retry is still allowed
         (after sleeping out the backoff)."""
-        from .worker import JobTimeout
-
         if isinstance(exc, JobTimeout):
             self.metrics.counter("campaign.timeouts").inc()
         self._trace_instant(key, "failed", attempt)
         self._emit({"type": "job", "state": "failed", "key": key,
                     "attempt": attempt, "error": f"{type(exc).__name__}: "
                                                  f"{exc}"})
-        if attempt >= self.retry.max_attempts:
+        if (attempt >= self.retry.max_attempts
+                or not isinstance(exc, RETRYABLE)):
             self.metrics.counter("campaign.failures").inc()
             _log.error(f"campaign job {spec.label} failed permanently "
                        f"({attempt} attempts): {type(exc).__name__}: {exc}")

@@ -768,9 +768,10 @@ def _check(args, dataflow_cache) -> int:
                 _log.info(render_crossval(cv))
             if cv_artifact is not None:
                 _log.info(f"replay artifact: {cv_artifact}")
-    if dataflow_cache is not None:
+    if dataflow_cache is not None and _log.level <= logging.INFO:
         # status goes to stderr so --json stdout stays machine-parseable;
-        # CI greps this exact line, keep its shape stable
+        # CI greps this exact line, keep its shape stable.  -q drops it,
+        # as it drops the campaign status line
         st = dataflow_cache.stats()
         print(f"[dataflow cache] hits={st['hits']} "
               f"misses={st['misses']} hit-rate={st['hit_rate']:.0%}",

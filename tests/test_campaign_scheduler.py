@@ -202,6 +202,27 @@ class TestFailurePolicy:
         assert records[crash]["value"] == 99
         assert [records[k]["value"] for k in keys] == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deterministic_failure_is_not_retried(self, monkeypatch, jobs):
+        # dedup's pipeline needs 3 threads: a seeded job raising
+        # ValueError raises it on every attempt, so it gets exactly one
+        # and no backoff
+        from repro.campaign import scheduler
+
+        sleeps = []
+        monkeypatch.setattr(scheduler.time, "sleep", sleeps.append)
+        c = Campaign(name="deterministic")
+        c.add(make_run_spec("dedup", n_threads=2, scale=0.2, seed=0,
+                            profile=False), target=True)
+        runner = CampaignRunner(store=MemoryStore(), jobs=jobs,
+                                retry=RetryPolicy(max_attempts=3,
+                                                  backoff=5.0))
+        with pytest.raises(JobFailed, match="after 1 attempt") as info:
+            runner.run(c)
+        assert isinstance(info.value.cause, ValueError)
+        assert sleeps == []
+        assert runner.summary()["retries"] == 0
+
     @pytest.mark.parametrize("broken_at", [1, 3])
     def test_pool_broken_at_submit_is_rebuilt(self, monkeypatch, broken_at):
         # a worker SIGKILLed between two wait() calls breaks the pool, and

@@ -1,6 +1,7 @@
 """The command-line interface (the artifact scripts' analogue)."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -236,6 +237,19 @@ class TestCheckCommand:
                         str(cache), "--threads", "4", "--scale", "0.25")
         assert rc == 0
         assert list(cache.glob("seg-*.jsonl"))
+
+    def test_incremental_cache_line_honours_quiet(self, tmp_path, capsys):
+        args = ["check", "micro_low_abort", "--static-only",
+                "--incremental", "--cache-dir", str(tmp_path / "df-cache"),
+                "--threads", "4", "--scale", "0.25"]
+        assert main(["-q", *args]) == 0
+        assert capsys.readouterr().err == ""
+        # the second run hits every summary; CI greps this exact line
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"\[dataflow cache\] hits=[1-9]\d* misses=0 hit-rate=100%\n",
+            err), err
 
     def test_crossval_pane_present_by_default(self):
         rc, out = run_cli("check", "micro_sync", "--threads", "2",

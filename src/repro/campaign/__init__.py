@@ -22,8 +22,9 @@ protocol into data:
   superseded records.  Re-running any campaign is incremental.
 * :mod:`~repro.campaign.suites` — campaign builders for the paper's
   harnesses (``table1``, ``figure7``, ``figure8``, ``overhead``,
-  ``speedup``) whose assembled output is identical to the serial
-  ``python -m repro`` commands.
+  ``speedup``) and the assemblers that turn their records into figure
+  rows; the ``python -m repro`` commands and the
+  :mod:`repro.experiments` harnesses both run them.
 
 Determinism: a run job executed in a worker process is bit-identical to
 the same run executed serially in-process — every run seeds its own

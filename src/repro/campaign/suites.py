@@ -1,11 +1,12 @@
 """Campaign builders for the paper's measurement suites.
 
 Each builder expands one evaluation protocol into a content-addressed
-job DAG; each assembler turns the resulting records into exactly the
-text the serial ``python -m repro`` command prints.  Because every
-harness goes through :func:`repro.campaign.spec.make_run_spec`, runs
-shared between suites (e.g. a speedup baseline and an overhead native
-run for the same seed) occupy a single store slot and execute once.
+job DAG; each assembler turns the resulting records into the rows the
+``python -m repro`` commands print and the :mod:`repro.experiments`
+harnesses return.  Because every harness goes through
+:func:`repro.campaign.spec.make_run_spec`, runs shared between suites
+(e.g. a speedup baseline and an overhead native run for the same seed)
+occupy a single store slot and execute once.
 
 Suites:
 
@@ -28,12 +29,15 @@ Suites:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import Any
 
 from ..core.export import profile_from_dict
 from ..htmbench.clomp_tm import FIGURE7_CONFIGS
 from ..sim.config import DEFAULT_THREADS
+from .scheduler import CampaignRunner
 from .spec import Campaign, JobSpec, make_run_spec
+from .store import MemoryStore
 
 SUITES = ("table1", "figure7", "figure8", "overhead", "speedup")
 
@@ -101,6 +105,9 @@ def build_overhead(n_threads: int = DEFAULT_THREADS, scale: float = 1.0,
                    runs: int = 7, drop: int = 1, **_: object) -> Campaign:
     from ..experiments.overhead import FIG5_BENCHMARKS
 
+    if runs < 1 or drop < 0:
+        raise SuiteError(f"runs must be >= 1 and drop >= 0: got "
+                         f"runs={runs}, drop={drop}")
     if drop and runs <= 2 * drop:
         raise SuiteError(
             f"runs must exceed 2*drop to leave a mean: got runs={runs}, "
@@ -174,6 +181,25 @@ def build_campaign(suite: str, **kw: Any) -> Campaign:
     return builder(**kw)
 
 
+def run_suite(suite: str, runner: CampaignRunner | None = None,
+              extra: Iterable[JobSpec] = (),
+              **kw: Any) -> tuple[Campaign, dict[str, dict]]:
+    """Build ``suite``'s campaign from the builder kwargs ``kw``, add
+    the ``extra`` specs as further targets, and run it in process.
+
+    The paper-experiment harnesses in :mod:`repro.experiments` run
+    their protocol through this; ``runner`` defaults to a serial one
+    over a fresh :class:`MemoryStore`.  Returns ``(campaign, records)``
+    with one record per target key.
+    """
+    campaign = build_campaign(suite, **kw)
+    for spec in extra:
+        campaign.add(spec, target=True)
+    if runner is None:
+        runner = CampaignRunner(store=MemoryStore(), jobs=1)
+    return campaign, runner.run(campaign)
+
+
 # ---------------------------------------------------------------------------
 # remote submissions: one validator shared by the ``repro serve`` daemon
 # and the CLI, so a JSON document submitted over HTTP builds exactly the
@@ -239,14 +265,14 @@ def submission_kwargs(doc: dict) -> tuple[str, dict[str, Any]]:
 
 
 # ---------------------------------------------------------------------------
-# assembly: records → the serial commands' data structures
+# assembly: records → the experiment harnesses' row types
 # ---------------------------------------------------------------------------
 
 
 def clomp_rows_from_records(campaign: Campaign,
                             records: dict[str, dict]) -> list:
-    """Figure 7 rows from cached clomp records — same code path as the
-    serial harness, so the rendered output is identical."""
+    """Figure 7 rows from cached clomp records, each profile rebuilt from
+    its run record's database."""
     from ..experiments.clomp import clomp_row
 
     rows = []

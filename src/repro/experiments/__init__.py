@@ -10,15 +10,19 @@ module              reproduces
 ``speedup``         Table 2 (optimization overview)
 ``correctness``     §7.2 (validation against ground truth)
 ``casestudy``       §8 case studies + Figure 9
-``runner``          shared build/run/profile plumbing
+``runner``          build/run/profile one workload
 ==================  ==========================================
+
+Figures 5-8 and Table 2 run their campaign suite
+(:mod:`repro.campaign.suites`) in process, so they share one
+implementation of each protocol with ``repro campaign``, the per-figure
+commands and ``repro serve``.  §7.2 and §8 call :func:`run_workload`
+directly: they read live instrumentation that run records do not carry.
 """
 
-from .runner import Outcome, run_workload, speedup, trimmed_mean_overhead
+from .runner import Outcome, run_workload
 
 __all__ = [
     "run_workload",
-    "speedup",
-    "trimmed_mean_overhead",
     "Outcome",
 ]

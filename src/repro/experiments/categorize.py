@@ -11,15 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from ..core.categorize import Category, categorize
+from ..core.categorize import Category
 from ..htmbench.base import WORKLOADS
-from ..sim.config import DEFAULT_THREADS, MachineConfig
-from .runner import run_workload
+from ..sim.config import DEFAULT_THREADS
 
 #: characterization needs statistically meaningful abort/commit
-#: estimates even for programs with few transactions per run.  Shared
-#: by the serial harness and the campaign suite so both address the
-#: same cached runs.
+#: estimates even for programs with few transactions per run.  The
+#: ``figure8`` campaign suite puts these on every run it builds.
 FIG8_SAMPLE_PERIODS = {
     "cycles": 5_000, "mem_loads": 4_000, "mem_stores": 4_000,
     "rtm_aborted": 5, "rtm_commit": 25,
@@ -52,24 +50,13 @@ def figure8(
     n_threads: int = DEFAULT_THREADS,
     scale: float = 1.0,
     seed: int = 0,
-    config: MachineConfig | None = None,
 ) -> list[CategorizedRow]:
-    if config is None:
-        config = MachineConfig(
-            n_threads=n_threads,
-            sample_periods=dict(FIG8_SAMPLE_PERIODS),
-        )
-    rows: list[CategorizedRow] = []
-    for name in names or figure8_names():
-        out = run_workload(
-            name, n_threads=n_threads, scale=scale, seed=seed,
-            config=config, profile=True,
-        )
-        cat = categorize(name, out.profile)
-        rows.append(
-            CategorizedRow(category=cat, expected_type=WORKLOADS[name].expected_type)
-        )
-    return rows
+    from ..campaign.suites import figure8_rows_from_records, run_suite
+
+    return figure8_rows_from_records(*run_suite(
+        "figure8", workloads=names, n_threads=n_threads, scale=scale,
+        seed=seed,
+    ))
 
 
 def agreement(rows: Sequence[CategorizedRow]) -> float:

@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 
 from ..core import metrics as m
 from ..core.analyzer import Profile
-from ..htmbench.clomp_tm import FIGURE7_CONFIGS
-from ..sim.config import DEFAULT_THREADS, MachineConfig
-from .runner import run_workload
+from ..sim.config import DEFAULT_THREADS
 
 #: Table 1, verbatim
 TABLE1 = [
@@ -26,8 +24,8 @@ TABLE1 = [
 
 #: the controlled experiment samples abort events densely so the
 #: per-cause decomposition is statistically stable (§6: periods are
-#: tunable).  Shared by the serial harness and the campaign suite so
-#: both address the same cached runs.
+#: tunable).  The ``table1``/``figure7`` campaign suites put these on
+#: every CLOMP-TM run they build.
 FIG7_SAMPLE_PERIODS = {
     "cycles": 6_000, "mem_loads": 3_000, "mem_stores": 3_000,
     "rtm_aborted": 3, "rtm_commit": 40,
@@ -62,12 +60,9 @@ class ClompRow:
 
 def clomp_row(label: str, size: str, scatter: int, profile: Profile,
               commits: int, aborts_by_reason: dict[str, int]) -> ClompRow:
-    """One Figure 7 bar group from a profiled clomp_tm run's artifacts.
-
-    Shared by the serial harness (live profile) and the campaign
-    assembly (profile reconstructed from a cached database), so both
-    paths compute identical rows.
-    """
+    """One Figure 7 bar group from a profiled clomp_tm run's artifacts:
+    its profile (live, or rebuilt from a run record's database), commit
+    count and per-reason abort counts."""
     summary = profile.summary()
     row = ClompRow(label=label, txn_size=size, scatter=scatter)
     row.time_fractions = summary.time_fractions()
@@ -88,24 +83,13 @@ def figure7(
     n_threads: int = DEFAULT_THREADS,
     scale: float = 1.0,
     seed: int = 0,
-    config: MachineConfig | None = None,
 ) -> list[ClompRow]:
     """Collect TxSampler data for the six CLOMP-TM configurations."""
-    if config is None:
-        config = MachineConfig(
-            n_threads=n_threads,
-            sample_periods=dict(FIG7_SAMPLE_PERIODS),
-        )
-    rows: list[ClompRow] = []
-    for label, size, scatter in FIGURE7_CONFIGS:
-        out = run_workload(
-            "clomp_tm", n_threads=n_threads, scale=scale, seed=seed,
-            config=config, profile=True, txn_size=size, scatter=scatter,
-        )
-        rows.append(clomp_row(label, size, scatter, out.profile,
-                              out.result.commits,
-                              out.result.aborts_by_reason))
-    return rows
+    from ..campaign.suites import clomp_rows_from_records, run_suite
+
+    return clomp_rows_from_records(*run_suite(
+        "figure7", n_threads=n_threads, scale=scale, seed=seed,
+    ))
 
 
 def check_expectations(rows: list[ClompRow]) -> list[str]:

@@ -3,7 +3,9 @@
 Figure 5: per-benchmark overhead of running with TxSampler attached,
 averaged over several seeds with the paper's trimmed-mean protocol
 (drop the smallest and largest of the runs).  Figure 6: the same
-overhead averaged over the STAMP suite at 1/2/4/8/14 threads.
+overhead averaged over the STAMP suite at 1/2/4/8/14 threads.  Both run
+the ``overhead`` campaign suite (:mod:`repro.campaign.suites`) in
+process.
 
 Because our simulated executions are ~10^5-10^6 cycles (the paper's are
 ~10^11), individual high-conflict benchmarks show larger run-to-run
@@ -17,9 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
-
-from ..sim.config import MachineConfig
-from .runner import trimmed_mean_overhead
 
 #: the Figure 5 benchmark list (every non-optimized HTMBench program that
 #: the paper's figure covers)
@@ -65,20 +64,19 @@ def figure5(
     n_threads: int = 14,
     scale: float = 1.0,
     runs: int = 5,
-    config: MachineConfig | None = None,
 ) -> list[OverheadRow]:
     """Per-benchmark sampling overhead (the bars of Figure 5)."""
-    rows: list[OverheadRow] = []
-    for name in benchmarks or FIG5_BENCHMARKS:
-        mean, all_runs = trimmed_mean_overhead(
-            name, n_threads=n_threads, scale=scale, runs=runs, drop=1,
-            config=config,
-        )
-        rows.append(OverheadRow(
-            name=name, mean=mean, min_=min(all_runs), max_=max(all_runs),
-            runs=all_runs,
-        ))
-    return rows
+    from ..campaign.suites import overhead_rows_from_records, run_suite
+
+    rows = overhead_rows_from_records(*run_suite(
+        "overhead", workloads=benchmarks, n_threads=n_threads,
+        scale=scale, runs=runs, drop=1,
+    ))
+    return [
+        OverheadRow(name=name, mean=mean, min_=min(all_runs),
+                    max_=max(all_runs), runs=all_runs)
+        for name, mean, all_runs in rows
+    ]
 
 
 def suite_mean(rows: Sequence[OverheadRow]) -> float:
@@ -92,14 +90,13 @@ def figure6(
     runs: int = 3,
 ) -> dict[int, tuple[float, float]]:
     """STAMP-average overhead per thread count: {threads: (mean, spread)}."""
+    from ..campaign.suites import overhead_rows_from_records, run_suite
+
     out: dict[int, tuple[float, float]] = {}
     for n in thread_counts:
-        means = []
-        for name in benchmarks:
-            mean, _ = trimmed_mean_overhead(
-                name, n_threads=n, scale=scale, runs=runs, drop=0,
-            )
-            means.append(mean)
+        means = [mean for _, mean, _ in overhead_rows_from_records(
+            *run_suite("overhead", workloads=benchmarks, n_threads=n,
+                       scale=scale, runs=runs, drop=0))]
         avg = sum(means) / len(means)
         var = sum((x - avg) ** 2 for x in means) / len(means)
         out[n] = (avg, math.sqrt(var))

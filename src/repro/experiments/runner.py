@@ -1,12 +1,10 @@
 """Shared experiment plumbing: build a workload, run it, profile it.
 
-The paper's measurement protocol (§7.1) is reproduced: overhead numbers
-average five of seven runs, dropping the smallest and largest.
-
-:func:`trimmed_mean_overhead` and :func:`speedup` run serially in
-process; ``repro campaign overhead``/``speedup`` run the same protocols
-through :mod:`repro.campaign`, which caches every run in its result
-store.
+:func:`run_workload` is the one way a workload runs: every campaign run
+job (:mod:`repro.campaign.worker`) calls it, and so do the harnesses
+that read live instrumentation (§7.2, §8, §9).  The paper's repeated-run
+protocols (§7.1's trimmed-mean overhead, Table 2's speedups) are
+campaign suites (:mod:`repro.campaign.suites`).
 """
 
 from __future__ import annotations
@@ -129,64 +127,3 @@ def run_workload(
         obs=sim.obs,
         replay_log=replay_log,
     )
-
-
-def trimmed_mean_overhead(
-    workload: WorkloadLike,
-    n_threads: int = DEFAULT_THREADS,
-    scale: float = 1.0,
-    config: MachineConfig | None = None,
-    runs: int = 7,
-    drop: int = 1,
-    **params,
-) -> tuple[float, list[float]]:
-    """§7.1's protocol: run ``runs`` seeds native and sampled, compute the
-    per-seed makespan overhead, drop the ``drop`` smallest and largest,
-    and average the rest.  Returns ``(mean_overhead, all_overheads)``.
-    """
-    if drop and runs <= 2 * drop:
-        raise ValueError(
-            f"runs must exceed 2*drop to leave a mean: got runs={runs}, "
-            f"drop={drop} (need runs > {2 * drop})"
-        )
-
-    def one(seed: int, profiled: bool) -> Outcome:
-        return run_workload(
-            workload, n_threads=n_threads, scale=scale, seed=seed,
-            config=config, profile=profiled, **params,
-        )
-
-    overheads: list[float] = []
-    for seed in range(runs):
-        native = one(seed, False)
-        sampled = one(seed, True)
-        overheads.append(
-            sampled.result.makespan / native.result.makespan - 1.0
-        )
-    trimmed = sorted(overheads)
-    if drop and len(trimmed) > 2 * drop:
-        trimmed = trimmed[drop:-drop]
-    return sum(trimmed) / len(trimmed), overheads
-
-
-def speedup(
-    baseline: WorkloadLike,
-    optimized: WorkloadLike,
-    n_threads: int = DEFAULT_THREADS,
-    scale: float = 1.0,
-    seed: int = 0,
-    config: MachineConfig | None = None,
-    baseline_params: dict | None = None,
-    optimized_params: dict | None = None,
-) -> tuple[float, Outcome, Outcome]:
-    """Makespan ratio baseline/optimized (>1 means the fix helps)."""
-
-    def one(workload: WorkloadLike, params: dict | None) -> Outcome:
-        return run_workload(
-            workload, n_threads=n_threads, scale=scale, seed=seed,
-            config=config, **(params or {}),
-        )
-
-    base = one(baseline, baseline_params)
-    opt = one(optimized, optimized_params)
-    return base.result.makespan / opt.result.makespan, base, opt

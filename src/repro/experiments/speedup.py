@@ -7,13 +7,13 @@ profile — i.e. TxSampler would actually have led you to the fix.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..core import metrics as m
 from ..core.analyzer import Profile
+from ..core.export import profile_from_dict
 from ..htmbench.optimized import TABLE2
-from ..sim.config import MachineConfig
-from .runner import run_workload, speedup as measure_speedup
 
 
 @dataclass
@@ -54,27 +54,38 @@ def table2(
     n_threads: int = 14,
     scale: float = 1.0,
     seed: int = 0,
-    config: MachineConfig | None = None,
+    programs: Sequence[str] | None = None,
 ) -> list[SpeedupRow]:
-    rows: list[SpeedupRow] = []
-    for naive, opt, paper, symptom in TABLE2:
-        s, _, _ = measure_speedup(
-            naive, opt, n_threads=n_threads, scale=scale, seed=seed,
-            config=config,
-        )
-        profiled = run_workload(
-            naive, n_threads=n_threads, scale=scale, seed=seed,
-            config=config, profile=True,
-        )
-        rows.append(SpeedupRow(
+    """Table 2 rows for ``programs`` (default: all of :data:`TABLE2`):
+    the ``speedup`` campaign suite plus one profiled run of each naive
+    program for its symptom evidence."""
+    from ..campaign.spec import make_run_spec
+    from ..campaign.suites import run_suite, speedup_rows_from_records
+
+    names = list(programs) if programs else [row[0] for row in TABLE2]
+    profiled = {
+        name: make_run_spec(name, n_threads=n_threads, scale=scale,
+                            seed=seed, profile=True)
+        for name in names
+    }
+    campaign, records = run_suite(
+        "speedup", extra=profiled.values(), workloads=names,
+        n_threads=n_threads, scale=scale, seed=seed,
+    )
+    symptoms = {naive: symptom for naive, _, _, symptom in TABLE2}
+    return [
+        SpeedupRow(
             program=naive,
             optimized=opt,
-            symptom=symptom,
+            symptom=symptoms[naive],
             paper_speedup=paper,
             measured_speedup=s,
-            symptom_evidence=_symptom_evidence(naive, profiled.profile),
-        ))
-    return rows
+            symptom_evidence=_symptom_evidence(naive, profile_from_dict(
+                records[profiled[naive].key]["profile_db"])),
+        )
+        for naive, opt, paper, s in speedup_rows_from_records(campaign,
+                                                              records)
+    ]
 
 
 def render_table2(rows: list[SpeedupRow]) -> str:

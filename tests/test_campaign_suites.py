@@ -1,11 +1,14 @@
-"""Campaign suites must reproduce the serial harnesses exactly, and the
-CLI rewiring must keep stdout byte-identical to the serial commands."""
+"""Campaign suites: the builders' job DAGs, the reducers' arithmetic
+checked against the run records they reduce over, profile databases
+that assemble the same figure rows as a live profile, and the CLI
+commands that run them."""
 
 import json
 
 import pytest
 
 from repro.campaign import CampaignRunner, MemoryStore
+from repro.campaign import suites
 from repro.campaign.suites import (
     SuiteError,
     build_campaign,
@@ -14,7 +17,8 @@ from repro.campaign.suites import (
     overhead_rows_from_records,
     speedup_rows_from_records,
 )
-from repro.experiments.runner import speedup, trimmed_mean_overhead
+from repro.experiments.runner import run_workload
+from repro.sim.config import MachineConfig
 
 from tests.test_cli import run_cli
 
@@ -22,10 +26,14 @@ SMALL = {"n_threads": 2, "scale": 0.2, "seed": 0}
 
 
 def run_suite(suite, jobs=1, store=None, **kw):
-    campaign = build_campaign(suite, **kw)
     runner = CampaignRunner(
         store=store if store is not None else MemoryStore(), jobs=jobs)
-    return campaign, runner.run(campaign), runner
+    campaign, records = suites.run_suite(suite, runner=runner, **kw)
+    return campaign, records, runner
+
+
+def makespan(runner, key):
+    return runner.store.fetch(key)["result"]["makespan"]
 
 
 class TestSuiteBuilders:
@@ -36,6 +44,11 @@ class TestSuiteBuilders:
     def test_overhead_validates_runs_vs_drop(self):
         with pytest.raises(SuiteError, match="exceed 2\\*drop"):
             build_campaign("overhead", runs=4, drop=2)
+
+    @pytest.mark.parametrize("runs,drop", [(0, 0), (3, -1)])
+    def test_overhead_rejects_bad_runs_or_drop(self, runs, drop):
+        with pytest.raises(SuiteError, match="runs must be >= 1"):
+            build_campaign("overhead", runs=runs, drop=drop)
 
     def test_speedup_rejects_unknown_program(self):
         with pytest.raises(SuiteError, match="not Table 2"):
@@ -56,47 +69,75 @@ class TestSuiteBuilders:
 
 
 class TestAssemblyMatchesSerial:
-    def test_figure7_rows_match_direct(self):
-        from repro.experiments.clomp import figure7, render_figure7
-
-        direct = figure7(**SMALL)
-        campaign, records, _ = run_suite("figure7", **SMALL)
-        assembled = clomp_rows_from_records(campaign, records)
-        assert render_figure7(assembled) == render_figure7(direct)
-
-    def test_figure8_rows_match_direct(self):
-        from repro.experiments.categorize import figure8, render_figure8
-
-        names = ["dedup", "histo"]
-        direct = figure8(names=names, n_threads=4, scale=0.2, seed=0)
-        campaign, records, _ = run_suite("figure8", workloads=names,
-                                         n_threads=4, scale=0.2, seed=0)
-        assembled = figure8_rows_from_records(campaign, records)
-        assert render_figure8(assembled) == render_figure8(direct)
+    """Assembled rows match what serial runs give directly: each reduced
+    number is recomputed from the run records its job depends on, and
+    each figure row assembled from a cached profile database equals the
+    row a live in-process profile gives."""
 
     def test_overhead_matches_direct(self):
-        direct_mean, direct_runs = trimmed_mean_overhead(
-            "micro_low_abort", n_threads=2, scale=0.2, runs=3, drop=1)
-        campaign, records, _ = run_suite(
-            "overhead", workloads=["micro_low_abort"], runs=3, drop=1,
+        campaign, records, runner = run_suite(
+            "overhead", workloads=["micro_low_abort"], runs=5, drop=1,
             n_threads=2, scale=0.2)
-        ((name, mean, runs),) = overhead_rows_from_records(campaign,
-                                                          records)
+        (target,) = campaign.targets
+        deps = campaign.jobs[target].deps
+        ((name, mean, overheads),) = overhead_rows_from_records(campaign,
+                                                               records)
         assert name == "micro_low_abort"
-        assert mean == direct_mean
-        assert runs == direct_runs
+        assert len(overheads) == 5
+        for seed, overhead in enumerate(overheads):
+            native, sampled = deps[2 * seed], deps[2 * seed + 1]
+            assert (campaign.jobs[native].seed,
+                    campaign.jobs[native].profile) == (seed, False)
+            assert (campaign.jobs[sampled].seed,
+                    campaign.jobs[sampled].profile) == (seed, True)
+            assert overhead == (makespan(runner, sampled)
+                                / makespan(runner, native) - 1.0)
+        trimmed = sorted(overheads)[1:-1]
+        assert mean == pytest.approx(sum(trimmed) / len(trimmed))
 
     def test_speedup_matches_direct(self):
         from repro.htmbench.optimized import TABLE2
 
         naive, opt, paper, _ = next(r for r in TABLE2 if r[0] == "ua")
-        direct, _, _ = speedup(naive, opt, **SMALL)
-        campaign, records, _ = run_suite("speedup", workloads=[naive],
-                                         **SMALL)
+        campaign, records, runner = run_suite("speedup", workloads=[naive],
+                                              **SMALL)
         ((name, opt_name, paper_got, s),) = \
             speedup_rows_from_records(campaign, records)
         assert (name, opt_name, paper_got) == (naive, opt, paper)
-        assert s == direct
+        base, optimized = campaign.jobs[campaign.targets[0]].deps
+        assert campaign.jobs[base].workload == naive
+        assert campaign.jobs[optimized].workload == opt
+        assert s == makespan(runner, base) / makespan(runner, optimized)
+
+    def test_figure7_rows_match_direct(self):
+        from repro.experiments.clomp import FIG7_SAMPLE_PERIODS, clomp_row
+
+        campaign, records, _ = run_suite("figure7", **SMALL)
+        config = MachineConfig(n_threads=2,
+                               sample_periods=dict(FIG7_SAMPLE_PERIODS))
+        live = []
+        for label, size, scatter, _ in campaign.meta:
+            out = run_workload("clomp_tm", config=config, profile=True,
+                               txn_size=size, scatter=scatter, **SMALL)
+            live.append(clomp_row(label, size, scatter, out.profile,
+                                  out.result.commits,
+                                  out.result.aborts_by_reason))
+        assert clomp_rows_from_records(campaign, records) == live
+
+    def test_figure8_rows_match_direct(self):
+        from repro.core.categorize import categorize
+        from repro.experiments.categorize import FIG8_SAMPLE_PERIODS
+
+        names = ["dedup", "histo"]
+        kw = dict(n_threads=4, scale=0.2, seed=0)
+        campaign, records, _ = run_suite("figure8", workloads=names, **kw)
+        config = MachineConfig(n_threads=4,
+                               sample_periods=dict(FIG8_SAMPLE_PERIODS))
+        rows = figure8_rows_from_records(campaign, records)
+        assert [r.category.name for r in rows] == names
+        for name, row in zip(names, rows):
+            out = run_workload(name, config=config, profile=True, **kw)
+            assert row.category == categorize(name, out.profile)
 
 
 class TestDeterminismAndCaching:
@@ -188,6 +229,17 @@ class TestCampaignCLI:
         rc, out = run_cli("campaign", "nope")
         assert rc == 2 and out == ""
         assert "unknown suite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("runs,drop", [("0", "0"), ("3", "-1")])
+    def test_campaign_overhead_rejects_bad_runs_or_drop(self, capsys,
+                                                        runs, drop):
+        rc, out = run_cli("campaign", "overhead", "micro_low_abort",
+                          "--runs", runs, "--drop", drop, "--threads", "2",
+                          "--scale", "0.2")
+        assert rc == 2 and out == ""
+        err = capsys.readouterr().err
+        assert "runs must be >= 1" in err
+        assert "Traceback" not in err
 
     def test_measure_overhead_validates_drop(self, capsys):
         rc, out = run_cli("measure-overhead", "micro_low_abort",

@@ -33,11 +33,7 @@ from repro.experiments.overhead import (
     render_figure6,
     suite_mean,
 )
-from repro.experiments.runner import (
-    run_workload,
-    speedup,
-    trimmed_mean_overhead,
-)
+from repro.experiments.runner import run_workload
 from repro.experiments.speedup import render_table2, table2
 
 
@@ -71,19 +67,28 @@ class TestRunner:
         assert out.result.commits > 0
 
     def test_speedup_computation(self):
-        s, base, opt = speedup("micro_high_abort", "micro_low_abort",
-                               n_threads=4, scale=0.2, seed=1)
-        assert s == pytest.approx(
-            base.result.makespan / opt.result.makespan
-        )
+        # Table 2's measured speedup is the naive/optimized makespan
+        # ratio of two plain runs at the same seed
+        kw = dict(n_threads=4, scale=0.2, seed=1)
+        (row,) = table2(programs=["ua"], **kw)
+        base = run_workload("ua", **kw).result.makespan
+        opt = run_workload(row.optimized, **kw).result.makespan
+        assert row.measured_speedup == base / opt
 
     def test_trimmed_mean_drops_extremes(self):
-        mean, runs = trimmed_mean_overhead(
-            "micro_low_abort", n_threads=2, scale=0.2, runs=5, drop=1
-        )
-        trimmed = sorted(runs)[1:-1]
-        assert mean == pytest.approx(sum(trimmed) / len(trimmed))
-        assert len(runs) == 5
+        # Figure 5's protocol: per seed, sampled/native makespan - 1;
+        # the mean drops the smallest and largest of those
+        kw = dict(n_threads=2, scale=0.2)
+        (row,) = figure5(benchmarks=["micro_low_abort"], runs=5, **kw)
+        assert len(row.runs) == 5
+        for seed, overhead in enumerate(row.runs):
+            native = run_workload("micro_low_abort", seed=seed, **kw)
+            sampled = run_workload("micro_low_abort", seed=seed,
+                                   profile=True, **kw)
+            assert overhead == (sampled.result.makespan
+                                / native.result.makespan - 1.0)
+        trimmed = sorted(row.runs)[1:-1]
+        assert row.mean == pytest.approx(sum(trimmed) / len(trimmed))
 
 
 class TestFigure5Harness:
@@ -183,18 +188,10 @@ class TestSection72Harness:
 
 class TestTable2Harness:
     def test_subset_improves(self):
-        from repro.htmbench.optimized import TABLE2 as PAIRS
-
         # a cheap subset at reduced scale: the fixes must still win
-        subset = [p for p in PAIRS if p[0] in ("ua", "histo")]
-        import repro.experiments.speedup as sp
-
-        original = sp.TABLE2
-        sp.TABLE2 = subset
-        try:
-            rows = table2(n_threads=8, scale=0.6, seed=1)
-        finally:
-            sp.TABLE2 = original
+        rows = table2(n_threads=8, scale=0.6, seed=1,
+                      programs=["ua", "histo"])
+        assert [r.program for r in rows] == ["ua", "histo"]
         for row in rows:
             assert row.improved, (row.program, row.measured_speedup)
             assert row.symptom_evidence

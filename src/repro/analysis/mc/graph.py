@@ -80,10 +80,6 @@ class AbortGraph:
             if via_lock is None or e.via_lock == via_lock
         }
 
-    def self_abort_classes(self, site: int) -> set[str]:
-        return {e.cls for e in self.edge_list()
-                if e.aborter_site == 0 and e.victim_site == site}
-
     def abort_classes(self, site: int) -> set[str]:
         """Every abort class some interleaving inflicts on ``site``."""
         out = {e.cls for e in self.edge_list() if e.victim_site == site}

@@ -29,6 +29,7 @@ Suites:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from typing import Any
 
@@ -100,14 +101,18 @@ def build_figure8(n_threads: int = DEFAULT_THREADS, scale: float = 1.0,
     return campaign
 
 
+def _check_runs(runs: int, drop: int) -> None:
+    if runs < 1 or drop < 0:
+        raise SuiteError(f"runs must be >= 1 and drop >= 0: got "
+                         f"runs={runs}, drop={drop}")
+
+
 def build_overhead(n_threads: int = DEFAULT_THREADS, scale: float = 1.0,
                    seed: int = 0, workloads: list[str] | None = None,
                    runs: int = 7, drop: int = 1, **_: object) -> Campaign:
     from ..experiments.overhead import FIG5_BENCHMARKS
 
-    if runs < 1 or drop < 0:
-        raise SuiteError(f"runs must be >= 1 and drop >= 0: got "
-                         f"runs={runs}, drop={drop}")
+    _check_runs(runs, drop)
     if drop and runs <= 2 * drop:
         raise SuiteError(
             f"runs must exceed 2*drop to leave a mean: got runs={runs}, "
@@ -201,9 +206,9 @@ def run_suite(suite: str, runner: CampaignRunner | None = None,
 
 
 # ---------------------------------------------------------------------------
-# remote submissions: one validator shared by the ``repro serve`` daemon
-# and the CLI, so a JSON document submitted over HTTP builds exactly the
-# campaign the equivalent command line would
+# remote submissions: the validator behind the ``repro serve`` daemon and
+# the ``repro chaos --serve`` drill, so a JSON document submitted over HTTP
+# builds exactly the campaign the equivalent command line would
 # ---------------------------------------------------------------------------
 
 #: campaign-identity fields a submission document may carry, with the
@@ -220,13 +225,31 @@ SUBMISSION_FIELDS: dict[str, Any] = {
 #: business, not the campaign's content hash
 RUNNER_FIELDS = ("jobs", "timeout", "refresh", "deadline")
 
+#: the longest timeout or deadline accepted, in seconds.  A worker arms
+#: its job timeout with ``signal.setitimer``, which overflows the
+#: platform's ``time_t`` (``OverflowError``) somewhere above this.
+MAX_SECONDS = 2**31 - 1
+
+
+def check_seconds(name: str, value: object) -> None:
+    """Raise :class:`SuiteError` unless ``value`` is a finite number of
+    seconds no larger than :data:`MAX_SECONDS`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SuiteError(f"{name} must be a number of seconds, "
+                         f"got {value!r}")
+    if not (isinstance(value, int) or math.isfinite(value)) \
+            or value > MAX_SECONDS:
+        raise SuiteError(f"{name} must be finite and at most "
+                         f"{MAX_SECONDS} seconds, got {value!r}")
+
 
 def submission_kwargs(doc: dict) -> tuple[str, dict[str, Any]]:
     """Validate a submission document into ``(suite, builder kwargs)``.
 
     Raises :class:`SuiteError` on an unknown suite, an unknown field, or
     a value of the wrong shape — the daemon turns that into an HTTP 400
-    instead of a half-built campaign.
+    instead of a half-built campaign.  The runner fields are checked
+    here too, but stay out of the builder kwargs.
     """
     if not isinstance(doc, dict):
         raise SuiteError("submission must be a JSON object")
@@ -259,8 +282,18 @@ def submission_kwargs(doc: dict) -> tuple[str, dict[str, Any]]:
         raise SuiteError("n_threads must be >= 1")
     if kwargs.get("scale", 1.0) <= 0:
         raise SuiteError("scale must be > 0")
-    if kwargs.get("runs", 1) < 1 or kwargs.get("drop", 0) < 0:
-        raise SuiteError("runs must be >= 1 and drop >= 0")
+    _check_runs(kwargs.get("runs", 1), kwargs.get("drop", 0))
+    jobs = doc.get("jobs")
+    if jobs is not None and (isinstance(jobs, bool)
+                             or not isinstance(jobs, int)):
+        raise SuiteError(f"jobs must be an integer, got {jobs!r}")
+    for field_name in ("timeout", "deadline"):
+        if doc.get(field_name) is not None:
+            check_seconds(field_name, doc[field_name])
+    refresh = doc.get("refresh")
+    if refresh is not None and not isinstance(refresh, bool):
+        raise SuiteError(f"refresh must be true or false, "
+                         f"got {refresh!r}")
     return suite, kwargs
 
 

@@ -49,6 +49,7 @@ from .campaign.suites import (
     SUITES,
     SuiteError,
     build_campaign,
+    check_seconds,
     clomp_rows_from_records,
     figure8_rows_from_records,
     overhead_rows_from_records,
@@ -1118,7 +1119,7 @@ def _run_suite(args, suite: str, **kwargs) -> int:
             metrics = (_metrics_runs(suite, campaign, args)
                        if getattr(args, "metrics", False) else {})
             records = runner.run(campaign)
-        except CampaignError as exc:
+        except (CampaignError, SuiteError) as exc:
             _log.error(str(exc))
             return 2
         extras = {
@@ -1140,15 +1141,6 @@ def cmd_measure_overhead(args) -> int:
     )
     drop = args.drop if args.drop is not None else \
         (1 if args.runs > 2 else 0)
-    if args.runs < 1 or drop < 0:
-        _log.error(f"--runs must be >= 1 and --drop >= 0: "
-                   f"got runs={args.runs}, drop={drop}")
-        return 2
-    if drop and args.runs <= 2 * drop:
-        _log.error(f"--runs must exceed 2*--drop to leave a mean: got "
-                   f"runs={args.runs}, drop={drop} "
-                   f"(need runs > {2 * drop})")
-        return 2
     return _run_suite(args, "overhead", workloads=names, runs=args.runs,
                       drop=drop)
 
@@ -1197,6 +1189,8 @@ def cmd_campaign(args) -> int:
         "runs": args.runs, "drop": args.drop,
     }
     try:
+        if args.timeout is not None:
+            check_seconds("--timeout", args.timeout)
         campaign = build_campaign(args.suite, **kwargs)
     except SuiteError as exc:
         _log.error(str(exc))

@@ -9,7 +9,8 @@ module              reproduces
 ``categorize``      Figure 8 (Type I/II/III quadrants)
 ``speedup``         Table 2 (optimization overview)
 ``correctness``     §7.2 (validation against ground truth)
-``casestudy``       §8 case studies + Figure 9
+``casestudy``       §8 case studies (Figure 9's dedup view is
+                    rendered by its benchmark)
 ``runner``          build/run/profile one workload
 ==================  ==========================================
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from ..core import metrics as m
 from ..core.decision_tree import DecisionTree, Guidance
-from ..core.report import render_cct, render_full_report
+from ..core.report import render_full_report
 from ..htmbench.parboil import INPUT_SKEWED, INPUT_UNIFORM
 from ..sim.config import MachineConfig
 from .runner import run_workload
@@ -190,11 +190,3 @@ def histo_case_study(n_threads: int = 14, scale: float = 1.0, seed: int = 0,
     if sort2.result.makespan >= coal2.result.makespan:
         cs.problems.append("sorting did not improve the coalesced input 2")
     return cs
-
-
-def figure9(n_threads: int = 14, scale: float = 1.0, seed: int = 0,
-            config: MachineConfig | None = None) -> str:
-    """The dedup calling-context view annotated with abort weight."""
-    out = run_workload("dedup", n_threads=n_threads, scale=scale, seed=seed,
-                       config=config, profile=True)
-    return render_cct(out.profile, metric=m.ABORT_WEIGHT, min_share=0.02)

@@ -94,9 +94,6 @@ def _check(row: CorrectnessRow) -> None:
     wbc = row.sampled_weight_by_class
     total_w = sum(wbc.values())
 
-    def dominant_class() -> str:
-        return max(wbc, key=wbc.get) if total_w else "none"
-
     if name == "micro_low_abort":
         if row.true_ratio > 0.05:
             p.append(f"ground truth ratio {row.true_ratio:.3f} not low")

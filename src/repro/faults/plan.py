@@ -46,7 +46,7 @@ scheduling order.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 KILL_MODES = ("raise", "exit")
 
@@ -126,9 +126,6 @@ class FaultPlan:
             for f in fields(self)
             if getattr(self, f.name) != getattr(defaults, f.name)
         }
-
-    def full_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> FaultPlan:

@@ -16,12 +16,14 @@ Modules:
 
 - :mod:`repro.serve.protocol` — HTTP/1.1 wire plumbing (parsing,
   responses, chunked transfer), pure and synchronous.
-- :mod:`repro.serve.registry` — campaign-task lifecycle + the ordered
-  progress-event feed the streaming endpoint reads.
+- :mod:`repro.serve.registry` — campaign tasks, the one journaled
+  transition path, and the ordered progress-event feed the streaming
+  endpoint reads.
 - :mod:`repro.serve.journal` — the crash-safe task journal (WAL-style,
-  CRC-framed, group-committed) every state transition is appended to.
+  CRC-framed, group-committed) every state transition is appended to,
+  and :class:`TaskRecord`, the persisted shape of a task.
 - :mod:`repro.serve.supervise` — admission control (bounded queue,
-  per-suite circuit breakers), journaled lifecycle, graceful drain.
+  per-suite circuit breakers), journal recovery, graceful drain.
 - :mod:`repro.serve.daemon` — the service core: validation, journal
   recovery, runner threads, store/metrics access.  No sockets.
 - :mod:`repro.serve.server` — the asyncio front end and routes.

@@ -34,8 +34,9 @@
   monotonic expiry, the scheduler trims each job's timeout to the
   remaining budget, and the worker's SIGALRM enforces it in-process.
 * **validation** — submissions pass through
-  :func:`repro.campaign.suites.submission_kwargs`, the same validator
-  the CLI uses, so a bad document is an HTTP 400 before anything runs.
+  :func:`repro.campaign.suites.submission_kwargs` (shared with the
+  ``repro chaos --serve`` drill) inside :func:`build_task`, so a bad
+  document is an HTTP 400 before anything runs.
 * **observability** — request counters, queue-depth/lease/breaker
   gauges live in a ``repro.obs``
   :class:`~repro.obs.metrics.MetricsRegistry`; the store contributes
@@ -58,12 +59,13 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Any
 
 from ..campaign.scheduler import CampaignRunner, RetryPolicy
 from ..campaign.store import MemoryStore, ResultStore
 from ..campaign.suites import SuiteError, build_campaign, submission_kwargs
 from ..obs.metrics import MetricsRegistry
-from .journal import JournalState, TaskJournal, TaskRecord
+from .journal import FINAL_STATES, JournalState, TaskJournal, TaskRecord
 from .registry import CampaignTask, TaskRegistry
 from .supervise import Supervisor
 
@@ -72,12 +74,44 @@ _log = logging.getLogger("repro.serve")
 #: per-campaign worker-process ceiling (a submission may ask for fewer)
 MAX_JOBS = max(1, (os.cpu_count() or 2))
 
-#: registry states that occupy a queue slot
-_PENDING_STATES = ("queued", "running", "publishing")
-
 
 class UnknownKeyError(KeyError):
     """No record (or sidecar) under the requested content hash."""
+
+
+def _seconds(value: Any) -> float | None:
+    # a validated timeout or deadline; zero or less means none
+    return float(value) if value and value > 0 else None
+
+
+def build_task(doc: dict, rec: TaskRecord | None = None) -> CampaignTask:
+    """Validate a submission document and build its task.
+
+    A new submission gets a fresh record; journal recovery passes the
+    journaled one.  The campaign is deterministic from ``doc``, so a
+    recovered task rebuilds the campaign its submission built.  An
+    unfinished task is ``queued``; a recovered one has its deadline
+    re-armed in full, since its original start of budget is lost with
+    the crashed process's monotonic clock.  Raises
+    :class:`~repro.campaign.suites.SuiteError` on a malformed document.
+    """
+    suite, kwargs = submission_kwargs(doc)
+    recovered = rec is not None and not rec.finished
+    if rec is None:
+        rec = TaskRecord(id="", suite=suite, doc=doc,
+                         submitted_at=time.time(),
+                         deadline=_seconds(doc.get("deadline")))
+    jobs = doc.get("jobs")
+    task = CampaignTask(
+        **vars(rec), campaign=build_campaign(suite, **kwargs),
+        jobs=0 if jobs is None else max(1, min(jobs, MAX_JOBS)),
+        timeout=_seconds(doc.get("timeout")),
+        refresh=bool(doc.get("refresh")), recovered=recovered)
+    if not task.finished:
+        task.state = "queued"
+        if task.deadline is not None:
+            task.deadline_at = time.monotonic() + task.deadline
+    return task
 
 
 class ServeDaemon:
@@ -104,7 +138,6 @@ class ServeDaemon:
             root = (store_root or os.environ.get("REPRO_CACHE_DIR")
                     or ".repro-cache")
             self.store = ResultStore(root, background=True)
-        self.registry = TaskRegistry()
         self.metrics = MetricsRegistry()
         self.default_jobs = max(1, default_jobs)
         self.retries = retries
@@ -116,6 +149,7 @@ class ServeDaemon:
         self.journal = (TaskJournal(journal_path,
                                     crash_hook=journal_crash_hook)
                         if journal_path is not None else None)
+        self.registry = TaskRegistry(self.journal)
         self.supervisor = Supervisor(
             self.journal, max_queue=max_queue,
             breaker_threshold=breaker_threshold,
@@ -126,7 +160,7 @@ class ServeDaemon:
         self._runners = ThreadPoolExecutor(
             max_workers=max(1, runners),
             thread_name_prefix="repro-serve-runner")
-        #: serializes the admission depth-check + registry.create pair
+        #: serializes the admission depth-check + registry.add pair
         self._admit_mu = threading.Lock()
         self._closed = False
         self._recover()
@@ -139,12 +173,11 @@ class ServeDaemon:
         still resolves their ids); unfinished ones are re-queued under
         a bumped lease epoch."""
         state = self.supervisor.recover()
-        for task_id in state.order:
-            rec = state.records[task_id]
+        for rec in state.records.values():
             try:
-                task = self._restore(rec)
+                task = self.registry.add(build_task(rec.doc, rec))
             except SuiteError as exc:  # journaled doc no longer valid
-                _log.error(f"recovery dropped {task_id}: {exc}")
+                _log.error(f"recovery dropped {rec.id}: {exc}")
                 continue
             if task.finished:
                 continue
@@ -152,44 +185,16 @@ class ServeDaemon:
             self._runners.submit(self._execute, task)
         if state.unfinished:
             _log.info(
-                f"journal recovery: {len(state.order)} task(s), "
+                f"journal recovery: {len(state.records)} task(s), "
                 f"{len(state.unfinished)} resumed, "
                 f"{state.stale_leases} stale lease(s) expired, "
                 f"epoch now {self.supervisor.epoch}")
 
-    def _restore(self, rec: TaskRecord) -> CampaignTask:
-        """Rebuild one journaled task; campaign construction is
-        deterministic from the submission document."""
-        doc = dict(rec.doc)
-        suite, kwargs = submission_kwargs(doc)
-        campaign = build_campaign(suite, **kwargs)
-        task = self.registry.create(
-            suite, doc, campaign,
-            self._coerce_jobs(doc.get("jobs")),
-            self._coerce_timeout(doc.get("timeout")),
-            bool(doc.get("refresh", False)),
-            deadline=rec.deadline, task_id=rec.id,
-            submitted_at=rec.submitted_at,
-            recovered=not rec.finished)
-        if rec.state == "done":
-            task.state = "done"
-            task.summary = rec.summary
-            task.finished_at = rec.finished_at
-        elif rec.state == "failed":
-            task.state = "failed"
-            task.error = rec.error
-            task.finished_at = rec.finished_at
-        elif rec.deadline is not None:
-            # the original start-of-budget is unrecoverable across a
-            # crash (monotonic clocks don't survive it): re-arm in full
-            task.deadline_at = time.monotonic() + rec.deadline
-        return task
-
     # ---------------------------------------------------------- submission
 
     def queue_depth(self) -> int:
-        counts = self.registry.counts()
-        return sum(counts.get(s, 0) for s in _PENDING_STATES)
+        return sum(n for state, n in self.registry.counts().items()
+                   if state not in FINAL_STATES)
 
     def submit(self, doc: dict) -> CampaignTask:
         """Validate a submission document, build its campaign, journal
@@ -201,23 +206,14 @@ class ServeDaemon:
         — either way nothing was queued.  Once this returns, the
         submission is durable: it survives any subsequent crash.
         """
-        suite, kwargs = submission_kwargs(doc)
-        campaign = build_campaign(suite, **kwargs)
-        jobs = self._coerce_jobs(doc.get("jobs"))
-        timeout = self._coerce_timeout(doc.get("timeout"))
-        refresh = bool(doc.get("refresh", False))
-        deadline = self._coerce_deadline(doc.get("deadline"))
-        # one lock around depth check + create, so N concurrent
+        task = build_task(doc)
+        # one lock around depth check + add, so N concurrent
         # submitters can't all read depth == max-1 and overshoot
         with self._admit_mu:
-            self.supervisor.admit(suite, self.queue_depth())
-            task = self.registry.create(suite, doc, campaign, jobs,
-                                        timeout, refresh,
-                                        deadline=deadline)
-        if deadline is not None:
-            task.deadline_at = time.monotonic() + deadline
+            self.supervisor.admit(task.suite, self.queue_depth())
+            self.registry.add(task)
         try:
-            self.supervisor.accept(task, doc, deadline)  # the ack point
+            self.registry.transition(task, "queued")  # the ack point
         except Exception:
             # journal append failed: never acked, so it must not stay
             # queued (a CrashPoint is BaseException — a simulated hard
@@ -226,34 +222,9 @@ class ServeDaemon:
             raise
         self.metrics.counter("serve.submissions").inc()
         self._runners.submit(self._execute, task)
-        _log.info(f"accepted campaign {task.id}: suite={suite} "
-                  f"jobs={jobs} ({len(campaign.jobs)} job specs)")
+        _log.info(f"accepted campaign {task.id}: suite={task.suite} "
+                  f"jobs={task.jobs} ({len(task.campaign.jobs)} job specs)")
         return task
-
-    @staticmethod
-    def _coerce_jobs(value: object) -> int:
-        if value is None:
-            return 0  # daemon default, resolved in _execute
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SuiteError(f"jobs must be an integer, got {value!r}")
-        return max(1, min(value, MAX_JOBS))
-
-    @staticmethod
-    def _coerce_timeout(value: object) -> float | None:
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SuiteError(f"timeout must be a number, got {value!r}")
-        return float(value) if value > 0 else None
-
-    @staticmethod
-    def _coerce_deadline(value: object) -> float | None:
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SuiteError(
-                f"deadline must be a number of seconds, got {value!r}")
-        return float(value) if value > 0 else None
 
     # ----------------------------------------------------------- execution
 
@@ -262,11 +233,12 @@ class ServeDaemon:
         transition journaled before the registry sees it."""
         if (task.deadline_at is not None
                 and time.monotonic() >= task.deadline_at):
-            self.metrics.counter("serve.campaigns.failed").inc()
-            self.supervisor.fail(task, self.registry,
-                                 "deadline exceeded before start")
+            self._settle(task, "failed",
+                         error="deadline exceeded before start")
             return
-        self.supervisor.lease(task, self.registry)
+        self.registry.transition(task, "running",
+                                 epoch=self.supervisor.epoch,
+                                 pid=os.getpid())
         runner = CampaignRunner(
             store=self.store,
             jobs=task.jobs or self.default_jobs,
@@ -279,19 +251,29 @@ class ServeDaemon:
         try:
             runner.run(task.campaign)
         except Exception as exc:
-            self.metrics.counter("serve.campaigns.failed").inc()
-            self.supervisor.fail(task, self.registry,
-                                 f"{type(exc).__name__}: {exc}")
-            _log.error(f"campaign {task.id} failed: "
-                       f"{type(exc).__name__}: {exc}")
+            error = f"{type(exc).__name__}: {exc}"
+            self._settle(task, "failed", error=error)
+            _log.error(f"campaign {task.id} failed: {error}")
             return
         # results are WAL-durable in the store; the journal just
         # hasn't said "done" yet — a crash in this window re-runs the
         # campaign as pure cache hits
-        self.supervisor.publishing(task)
-        self.metrics.counter("serve.campaigns.done").inc()
-        self.supervisor.finish(task, self.registry, runner.summary())
-        _log.info(f"campaign {task.id} done: {runner.summary()}")
+        self.registry.transition(task, "publishing")
+        summary = runner.summary()
+        self._settle(task, "done", summary=summary)
+        _log.info(f"campaign {task.id} done: {summary}")
+
+    def _settle(self, task: CampaignTask, state: str,
+                **changes: object) -> None:
+        """Journal and apply a campaign's final state, count it, and
+        report it to its suite's circuit breaker."""
+        self.metrics.counter(f"serve.campaigns.{state}").inc()
+        self.registry.transition(task, state, **changes)
+        breaker = self.supervisor.breaker(task.suite)
+        if state == "done":
+            breaker.record_success()
+        else:
+            breaker.record_failure()
 
     # --------------------------------------------------------------- drain
 
@@ -310,21 +292,9 @@ class ServeDaemon:
         return self.supervisor.drained
 
     def _journal_state(self) -> JournalState:
-        """The registry folded back into journal shape (for snapshot)."""
-        state = JournalState(epoch=self.supervisor.epoch)
-        for task in self.registry.list():
-            rec = TaskRecord(
-                id=task.id, suite=task.suite, doc=task.doc,
-                state="accepted" if task.state == "queued"
-                else task.state,
-                epoch=self.supervisor.epoch, pid=os.getpid(),
-                error=task.error, summary=task.summary,
-                submitted_at=task.submitted_at,
-                finished_at=task.finished_at,
-                deadline=task.deadline)
-            state.records[task.id] = rec
-            state.order.append(task.id)
-        return state
+        """The registry's tasks as the journal state a snapshot writes."""
+        return JournalState(epoch=self.supervisor.epoch, records={
+            task.id: task for task in self.registry.list()})
 
     # ------------------------------------------------------------- queries
 
@@ -368,7 +338,7 @@ class ServeDaemon:
         by_state = self.registry.counts()
         running = by_state.get("running", 0)
         publishing = by_state.get("publishing", 0)
-        depth = by_state.get("queued", 0) + running + publishing
+        depth = self.queue_depth()
         admission = self.supervisor.stats(depth)
         self.metrics.gauge("serve.queue.depth").set(depth)
         self.metrics.gauge("serve.queue.limit").set(

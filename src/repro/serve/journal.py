@@ -9,6 +9,12 @@ dead process's leases, and resumes unfinished campaigns through the
 content-addressed result store (republication is idempotent: finished
 jobs are cache hits).
 
+:class:`TaskRecord` is the one persisted shape of a task — the
+registry's live tasks extend it — and :meth:`TaskRecord.entry` builds
+every task entry, whether a live transition appends it or
+:meth:`TaskJournal.snapshot` rewrites it; :meth:`TaskJournal._fold` is
+the one reader.
+
 Each line is a CRC frame ``{"c": <crc32>, "j": <entry>}`` in the line
 format of :mod:`repro.campaign.durable`, which also reads it back:
 replay stops at the first torn or CRC-failing line, truncates the file
@@ -56,6 +62,9 @@ from ..campaign.durable import frame, fsync, read, repair_tail, scan, unframe
 TASK_STATES = ("accepted", "running", "publishing", "done", "failed")
 #: terminal journal states — a task here needs no recovery
 FINAL_STATES = ("done", "failed")
+#: a task waiting to run: ``accepted`` in the journal, ``queued`` in
+#: the registry (both journal as ``accepted``)
+WAITING = ("accepted", "queued")
 #: entries fsynced before :meth:`TaskJournal.append` returns: the ack,
 #: the terminal states a client may have seen, and the lease epoch
 SYNCED = ("accepted", *FINAL_STATES, "epoch")
@@ -77,7 +86,13 @@ class JournalError(RuntimeError):
 
 @dataclass
 class TaskRecord:
-    """One task as the journal remembers it (folded, last state wins)."""
+    """One task as the journal remembers it (folded, last state wins).
+
+    This is the one persisted shape of a task: the daemon's live
+    :class:`~repro.serve.registry.CampaignTask` extends it, so the
+    registry's tasks are what a snapshot writes.  A live task waits as
+    ``queued``; the journal calls that state ``accepted``.
+    """
 
     id: str
     suite: str
@@ -95,22 +110,50 @@ class TaskRecord:
     def finished(self) -> bool:
         return self.state in FINAL_STATES
 
+    def entry(self, kind: str | None = None) -> tuple[str, dict]:
+        """The journal entry recording this task in state ``kind``
+        (default: its current state), as ``(type, fields)`` for
+        :meth:`TaskJournal.append`.  Live transitions and
+        :meth:`TaskJournal.snapshot` both write through this;
+        :meth:`TaskJournal._fold` is its one reader."""
+        kind = kind or self.state
+        if kind in WAITING:
+            fields: dict = {"task": self.id, "suite": self.suite,
+                            "doc": self.doc,
+                            "submitted_at": self.submitted_at}
+            if self.deadline is not None:
+                fields["deadline"] = self.deadline
+            return "accepted", fields
+        fields = {"task": self.id}
+        if kind == "running":
+            fields.update(epoch=self.epoch, pid=self.pid)
+        elif kind == "done":
+            fields.update(summary=self.summary,
+                          finished_at=self.finished_at)
+        elif kind == "failed":
+            fields.update(error=self.error, finished_at=self.finished_at)
+        return kind, fields
+
 
 @dataclass
 class JournalState:
     """What :meth:`TaskJournal.recover` found on disk."""
 
     epoch: int = 0
+    #: task id -> record, in submission order
     records: dict[str, TaskRecord] = field(default_factory=dict)
-    order: list[str] = field(default_factory=list)
     entries: int = 0
     torn_bytes: int = 0
 
     @property
+    def order(self) -> list[str]:
+        """Task ids in submission order."""
+        return list(self.records)
+
+    @property
     def unfinished(self) -> list[TaskRecord]:
         """Tasks needing recovery, in submission order."""
-        return [self.records[tid] for tid in self.order
-                if not self.records[tid].finished]
+        return [rec for rec in self.records.values() if not rec.finished]
 
     @property
     def stale_leases(self) -> int:
@@ -195,7 +238,6 @@ class TaskJournal:
                 deadline=float(deadline) if isinstance(
                     deadline, (int, float)) else None,
             )
-            state.order.append(task_id)
             return
         rec = state.records.get(task_id)
         if rec is None or kind not in TASK_STATES:
@@ -263,43 +305,24 @@ class TaskJournal:
     def snapshot(self, state: JournalState) -> None:
         """Compact the journal to the folded ``state`` (clean-shutdown
         path): per task, its ``accepted`` entry plus one entry for its
-        current state; one trailing ``epoch`` entry.  Original seq
-        numbers are preserved, so snapshotting the same state twice is
+        current state; one trailing ``epoch`` entry.  Seq numbers are
+        renumbered from 1, so snapshotting the same state twice is
         byte-for-byte idempotent — the restart-is-a-no-op invariant the
         chaos drill asserts.
 
         The rewrite is atomic (tmp + fsync + rename): a crash inside it
         leaves either the old journal or the new one, never a mix.
         """
-        lines: list[bytes] = []
-        seq = 0
-        for task_id in state.order:
-            rec = state.records[task_id]
-            seq += 1
-            accepted: dict = {"seq": seq, "type": "accepted",
-                              "task": rec.id, "suite": rec.suite,
-                              "doc": rec.doc,
-                              "submitted_at": rec.submitted_at}
-            if rec.deadline is not None:
-                accepted["deadline"] = rec.deadline
-            lines.append(frame(accepted))
-            if rec.state == "accepted":
-                continue
-            seq += 1
-            entry: dict = {"seq": seq, "type": rec.state, "task": rec.id}
-            if rec.state == "running":
-                entry.update(epoch=rec.epoch, pid=rec.pid)
-            elif rec.state == "done":
-                entry.update(summary=rec.summary,
-                             finished_at=rec.finished_at)
-            elif rec.state == "failed":
-                entry.update(error=rec.error,
-                             finished_at=rec.finished_at)
-            lines.append(frame(entry))
+        entries: list[tuple[str, dict]] = []
+        for rec in state.records.values():
+            entries.append(rec.entry("accepted"))
+            if rec.state not in WAITING:
+                entries.append(rec.entry())
         if state.epoch:
-            seq += 1
-            lines.append(frame({"seq": seq, "type": "epoch",
-                                  "epoch": state.epoch}))
+            entries.append(("epoch", {"epoch": state.epoch}))
+        lines = [frame({"seq": seq, "type": kind, **fields})
+                 for seq, (kind, fields) in enumerate(entries, 1)]
+        seq = len(lines)
         tmp = self.path.with_suffix(".tmp")
         with self._io:
             self._crash("journal-snapshot")

@@ -1,13 +1,16 @@
 """Campaign-task lifecycle tracking for the serve daemon.
 
-A :class:`CampaignTask` is one accepted submission: the validated
-document, the built :class:`~repro.campaign.spec.Campaign`, a state
-machine (``queued → running → publishing → done | failed``), and an
-ordered list of
-progress events (each stamped with a monotonically increasing index
-``i``) appended by the scheduler's ``on_event`` callback.  The
-:class:`TaskRegistry` owns the id namespace and the lock; the streaming
-endpoint reads ``events_since`` snapshots and never blocks a writer.
+A :class:`CampaignTask` is one accepted submission: its journaled
+:class:`~repro.serve.journal.TaskRecord` (id, document, state machine
+``queued → running → publishing → done | failed``, outcome,
+timestamps), extended with what lives only in memory — the built
+:class:`~repro.campaign.spec.Campaign`, the runner knobs, and an
+ordered list of progress events (each stamped with a monotonically
+increasing index ``i``) appended by the scheduler's ``on_event``
+callback.  The :class:`TaskRegistry` owns the id namespace and the
+lock; :meth:`TaskRegistry.transition` is the one path that journals a
+state change and then applies it.  The streaming endpoint reads
+``events_since`` snapshots and never blocks a writer.
 
 Streams are pushed, not polled: a stream :meth:`~TaskRegistry.watch`es
 its task, and every new event or terminal state sets its
@@ -25,14 +28,13 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
+
+from .journal import FINAL_STATES, TaskJournal, TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..campaign.spec import Campaign
-
-#: terminal task states
-FINAL_STATES = ("done", "failed")
 
 
 def campaign_status_doc(suite: str, campaign: Campaign, state: str,
@@ -56,33 +58,20 @@ def campaign_status_doc(suite: str, campaign: Campaign, state: str,
     return doc
 
 
-@dataclass
-class CampaignTask:
-    """One submitted campaign and everything the API reports about it."""
+@dataclass(kw_only=True)
+class CampaignTask(TaskRecord):
+    """One submitted campaign: its journaled :class:`TaskRecord` plus
+    what lives only in memory and is rebuilt on recovery."""
 
-    id: str
-    suite: str
-    doc: dict
     campaign: Campaign
     jobs: int
     timeout: float | None
     refresh: bool
-    state: str = "queued"
-    error: str | None = None
     events: list[dict] = field(default_factory=list)
-    summary: dict | None = None
-    submitted_at: float = field(default_factory=time.time)
-    finished_at: float | None = None
-    #: wall-clock budget in seconds (client deadline, propagated down)
-    deadline: float | None = None
-    #: monotonic timestamp the budget expires at (set on acceptance)
+    #: monotonic timestamp the ``deadline`` budget expires at
     deadline_at: float | None = None
     #: True when this task was rebuilt from the journal after a crash
     recovered: bool = False
-
-    @property
-    def finished(self) -> bool:
-        return self.state in FINAL_STATES
 
     def status_doc(self) -> dict:
         """The JSON shape of ``GET /v1/campaigns/{id}`` — the shared
@@ -111,45 +100,33 @@ class CampaignTask:
 class TaskRegistry:
     """Thread-safe task table + per-task ordered event feeds."""
 
-    def __init__(self) -> None:
+    def __init__(self, journal: TaskJournal | None = None) -> None:
+        #: every transition is appended here before memory moves
+        self.journal = journal
         self._mu = threading.Lock()
+        #: task id -> task, in submission order
         self._tasks: dict[str, CampaignTask] = {}
-        self._order: list[str] = []
         self._next_id = 1
         #: task id -> the streams watching it, each woken on its loop
         self._watchers: dict[
             str, list[tuple[asyncio.AbstractEventLoop, asyncio.Event]]] = {}
 
-    def create(self, suite: str, doc: dict, campaign: Campaign,
-               jobs: int, timeout: float | None, refresh: bool,
-               deadline: float | None = None,
-               task_id: str | None = None,
-               submitted_at: float | None = None,
-               recovered: bool = False) -> CampaignTask:
-        """Allocate (or, with ``task_id``, restore) one task.
-
-        Journal recovery passes the pre-crash id so ``status`` keeps
-        resolving it; the id counter always advances past restored ids
-        so fresh submissions never collide with replayed ones.
-        """
+    def add(self, task: CampaignTask) -> CampaignTask:
+        """Register ``task``, allocating its id — or, for a task rebuilt
+        from the journal, keeping the pre-crash one so ``status`` keeps
+        resolving it.  The id counter always advances past restored ids
+        so fresh submissions never collide with replayed ones."""
         with self._mu:
-            if task_id is None:
-                task_id = f"c-{self._next_id:06d}"
+            if not task.id:
+                task.id = f"c-{self._next_id:06d}"
                 self._next_id += 1
             else:
-                if task_id in self._tasks:
-                    raise ValueError(f"duplicate task id {task_id!r}")
-                tail = task_id.rsplit("-", 1)[-1]
+                if task.id in self._tasks:
+                    raise ValueError(f"duplicate task id {task.id!r}")
+                tail = task.id.rsplit("-", 1)[-1]
                 if tail.isdigit():
                     self._next_id = max(self._next_id, int(tail) + 1)
-            task = CampaignTask(id=task_id, suite=suite, doc=doc,
-                                campaign=campaign, jobs=jobs,
-                                timeout=timeout, refresh=refresh,
-                                deadline=deadline, recovered=recovered)
-            if submitted_at is not None:
-                task.submitted_at = submitted_at
-            self._tasks[task_id] = task
-            self._order.append(task_id)
+            self._tasks[task.id] = task
             return task
 
     def get(self, task_id: str) -> CampaignTask | None:
@@ -160,14 +137,11 @@ class TaskRegistry:
         """Forget a task that never got acked (its journal append
         failed) — otherwise it would occupy a queue slot forever."""
         with self._mu:
-            task = self._tasks.pop(task_id, None)
-            if task is not None:
-                self._order.remove(task_id)
-            return task
+            return self._tasks.pop(task_id, None)
 
     def list(self) -> list[CampaignTask]:
         with self._mu:
-            return [self._tasks[tid] for tid in self._order]
+            return list(self._tasks.values())
 
     def counts(self) -> dict[str, int]:
         """Tasks by state (the queue-depth gauge reads this)."""
@@ -179,22 +153,25 @@ class TaskRegistry:
 
     # ---------------------------------------------------------- lifecycle
 
-    def mark_running(self, task: CampaignTask) -> None:
-        with self._mu:
-            task.state = "running"
+    def transition(self, task: CampaignTask, state: str,
+                   **changes: object) -> None:
+        """Move ``task`` to ``state``, setting ``changes`` on it.
 
-    def mark_done(self, task: CampaignTask, summary: dict) -> None:
+        Journal first, memory second: the entry is appended outside the
+        lock (an fsync must not stall readers), then the task changes
+        and its streams wake under the lock.  A kill between the two is
+        exactly what recovery replays.  ``queued`` journals the task's
+        ``accepted`` entry: the ack point of a submission.
+        """
+        if state in FINAL_STATES:
+            changes["finished_at"] = time.time()
+        if self.journal is not None:
+            kind, fields = replace(task, state=state, **changes).entry()
+            self.journal.append(kind, **fields)
         with self._mu:
-            task.state = "done"
-            task.summary = summary
-            task.finished_at = time.time()
-            self._wake(task)
-
-    def mark_failed(self, task: CampaignTask, error: str) -> None:
-        with self._mu:
-            task.state = "failed"
-            task.error = error
-            task.finished_at = time.time()
+            task.state = state
+            for name, value in changes.items():
+                setattr(task, name, value)
             self._wake(task)
 
     # ------------------------------------------------------------- events
@@ -221,7 +198,7 @@ class TaskRegistry:
                 wake.clear()
             fresh = task.events[since:] if since < len(task.events) \
                 else []
-            return list(fresh), task.state in FINAL_STATES
+            return list(fresh), task.finished
 
     # ------------------------------------------------------------ streams
 

@@ -14,9 +14,12 @@ task registry and enforces the service-level robustness contracts:
   (:class:`Draining`, HTTP 503), waits for in-flight campaigns up to a
   deadline, then snapshots the task journal so the next start replays
   a compact, byte-stable file;
-* **journaled lifecycle** — every transition is appended to the
-  :class:`~repro.serve.journal.TaskJournal` *before* the in-memory
-  registry moves, so a hard kill at any point is recoverable.
+* **journal recovery** — :meth:`Supervisor.recover` replays the
+  :class:`~repro.serve.journal.TaskJournal` and, when a dead process
+  left work unfinished, journals a new lease epoch.
+
+Task transitions themselves are journaled by
+:meth:`~repro.serve.registry.TaskRegistry.transition`.
 
 Everything takes an injectable monotonic ``clock`` so tests can drive
 cooldowns without sleeping.
@@ -29,8 +32,7 @@ import time
 from collections.abc import Callable
 from threading import Lock
 
-from .journal import JournalState, TaskJournal, TaskRecord
-from .registry import CampaignTask, TaskRegistry
+from .journal import JournalState, TaskJournal
 
 
 class Busy(RuntimeError):
@@ -133,7 +135,8 @@ class CircuitBreaker:
 
 
 class Supervisor:
-    """Admission + lifecycle journaling for the serve daemon."""
+    """Admission, breakers, lease epochs and drain for the serve
+    daemon."""
 
     def __init__(self, journal: TaskJournal | None, *,
                  max_queue: int = 64,
@@ -184,51 +187,6 @@ class Supervisor:
             raise QueueFull(
                 f"submission queue full ({queue_depth}/{self.max_queue})")
 
-    # ------------------------------------------------- journaled lifecycle
-    # Journal first, memory second: each helper appends the record,
-    # then mutates the registry.  A kill between the two is the exact
-    # situation recovery replays.  The journal fsyncs accepted, done
-    # and failed before append returns; running and publishing are
-    # only written (see repro.serve.journal).
-
-    def accept(self, task: CampaignTask, doc: dict,
-               deadline: float | None) -> None:
-        """The ack point: once this returns, the submission is durable
-        and must survive any crash."""
-        if self.journal is not None:
-            entry: dict = {"task": task.id, "suite": task.suite,
-                           "doc": doc, "submitted_at": task.submitted_at}
-            if deadline is not None:
-                entry["deadline"] = deadline
-            self.journal.append("accepted", **entry)
-
-    def lease(self, task: CampaignTask, registry: TaskRegistry) -> None:
-        if self.journal is not None:
-            self.journal.append("running", task=task.id,
-                                epoch=self.epoch, pid=os.getpid())
-        registry.mark_running(task)
-
-    def publishing(self, task: CampaignTask) -> None:
-        if self.journal is not None:
-            self.journal.append("publishing", task=task.id)
-        task.state = "publishing"
-
-    def finish(self, task: CampaignTask, registry: TaskRegistry,
-               summary: dict) -> None:
-        if self.journal is not None:
-            self.journal.append("done", task=task.id, summary=summary,
-                                finished_at=time.time())
-        registry.mark_done(task, summary)
-        self.breaker(task.suite).record_success()
-
-    def fail(self, task: CampaignTask, registry: TaskRegistry,
-             error: str) -> None:
-        if self.journal is not None:
-            self.journal.append("failed", task=task.id, error=error,
-                                finished_at=time.time())
-        registry.mark_failed(task, error)
-        self.breaker(task.suite).record_failure()
-
     # ------------------------------------------------------------ recovery
 
     def recover(self) -> JournalState:
@@ -249,11 +207,6 @@ class Supervisor:
                                 recovered=len(unfinished),
                                 expired=self.expired_leases)
         return state
-
-    @staticmethod
-    def record_to_doc(rec: TaskRecord) -> dict:
-        """The submission document to replay for a recovered task."""
-        return dict(rec.doc)
 
     # --------------------------------------------------------------- drain
 

@@ -245,7 +245,40 @@ class TestCampaignCLI:
         rc, out = run_cli("measure-overhead", "micro_low_abort",
                           "--runs", "4", "--drop", "2")
         assert rc == 2 and out == ""
-        assert "exceed 2*--drop" in capsys.readouterr().err
+        assert "exceed 2*drop" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [("--runs", "0"),
+                                       ("--runs", "2", "--drop", "1")])
+    def test_measure_overhead_bad_runs_exit_2_before_any_job(
+            self, monkeypatch, capsys, flags):
+        def ran(*_args, **_kw):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(CampaignRunner, "run", ran)
+        rc, out = run_cli("measure-overhead", "micro_low_abort",
+                          "--threads", "2", "--scale", "0.2",
+                          "--no-cache", *flags)
+        err = capsys.readouterr().err
+        assert rc == 2 and out == ""
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "1e300",
+                                         str(2**31)])
+    def test_campaign_rejects_a_timeout_no_timer_can_arm(
+            self, monkeypatch, capsys, timeout):
+        def ran(*_args, **_kw):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(CampaignRunner, "run", ran)
+        rc, out = run_cli("campaign", "overhead", "micro_low_abort",
+                          "--runs", "1", "--drop", "0", "--threads", "2",
+                          "--scale", "0.2", "--no-cache",
+                          "--timeout", timeout)
+        err = capsys.readouterr().err
+        assert rc == 2 and out == ""
+        assert "--timeout must be finite and at most" in err
+        assert "Traceback" not in err
 
     def test_measure_overhead_explicit_runs_and_drop(self):
         rc, out = run_cli("measure-overhead", "micro_low_abort",

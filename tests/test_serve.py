@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 import queue
+import signal
 import socket
 import sys
 import threading
@@ -22,6 +23,7 @@ from repro.campaign.scheduler import CampaignRunner
 from repro.campaign.spec import JobSpec
 from repro.campaign.store import MemoryStore, ResultStore
 from repro.campaign.suites import (
+    MAX_SECONDS,
     SuiteError,
     build_campaign,
     submission_kwargs,
@@ -31,9 +33,10 @@ from repro.serve import (
     ServeClient,
     ServeDaemon,
     ServeError,
+    TaskRecord,
     TaskRegistry,
 )
-from repro.serve.daemon import UnknownKeyError
+from repro.serve.daemon import UnknownKeyError, build_task
 from repro.serve.protocol import (
     ProtocolError,
     Request,
@@ -53,6 +56,60 @@ from repro.serve.registry import campaign_status_doc
 #: a tiny submission that exercises the full campaign DAG quickly
 TINY = {"suite": "overhead", "workloads": ["micro_low_abort"],
         "n_threads": 2, "scale": 0.25, "runs": 2, "drop": 0, "jobs": 1}
+
+#: ``status_doc()`` of a queued, running, done, failed and recovered task
+#: (``test_status_docs_are_pinned``), recorded before tasks became
+#: journal records
+PINNED_STATUS_DOCS = [
+    ('{"by_kind": {"overhead": 1, "run": 4}, "events": 0, '
+     '"id": "c-000001", "jobs": 5, "name": "overhead", '
+     '"state": "queued", "submission": {"drop": 0, "jobs": 1, '
+     '"n_threads": 2, "runs": 2, "scale": 0.25, "suite": "overhead", '
+     '"workloads": ["micro_low_abort"]}, '
+     '"submitted_at": 1700000000.25, "suite": "overhead", '
+     '"target_keys": ["e56c4c0441f950c98715fc9e4c7582d0'
+     '0bc15aadcfcad24f2d3d9637ffd18af8"], '
+     '"targets": 1}'),
+    ('{"by_kind": {"overhead": 1, "run": 4}, "deadline": 30.0, '
+     '"events": 1, "id": "c-000002", "jobs": 5, "name": "overhead", '
+     '"state": "running", "submission": {"deadline": 30.0, "drop": 0, '
+     '"jobs": 1, "n_threads": 2, "runs": 2, "scale": 0.25, '
+     '"suite": "overhead", "workloads": ["micro_low_abort"]}, '
+     '"submitted_at": 1700000000.25, "suite": "overhead", '
+     '"target_keys": ["e56c4c0441f950c98715fc9e4c7582d0'
+     '0bc15aadcfcad24f2d3d9637ffd18af8"], '
+     '"targets": 1}'),
+    ('{"by_kind": {"overhead": 1, "run": 4}, "events": 0, '
+     '"finished_at": 1700000000.25, "id": "c-000003", "jobs": 5, '
+     '"name": "overhead", "state": "done", "submission": {"drop": 0, '
+     '"jobs": 1, "n_threads": 2, "runs": 2, "scale": 0.25, '
+     '"suite": "overhead", "workloads": ["micro_low_abort"]}, '
+     '"submitted_at": 1700000000.25, "suite": "overhead", '
+     '"summary": {"hits": 1, "jobs": 3}, '
+     '"target_keys": ["e56c4c0441f950c98715fc9e4c7582d0'
+     '0bc15aadcfcad24f2d3d9637ffd18af8"], '
+     '"targets": 1}'),
+    ('{"by_kind": {"overhead": 1, "run": 4}, '
+     '"error": "boom: \\u00e9\\"quoted\\"", "events": 0, '
+     '"finished_at": 1700000000.25, "id": "c-000004", "jobs": 5, '
+     '"name": "overhead", "state": "failed", '
+     '"submission": {"drop": 0, "jobs": 1, "n_threads": 2, "runs": 2, '
+     '"scale": 0.25, "suite": "overhead", '
+     '"workloads": ["micro_low_abort"]}, '
+     '"submitted_at": 1700000000.25, "suite": "overhead", '
+     '"target_keys": ["e56c4c0441f950c98715fc9e4c7582d0'
+     '0bc15aadcfcad24f2d3d9637ffd18af8"], '
+     '"targets": 1}'),
+    ('{"by_kind": {"overhead": 1, "run": 4}, "events": 0, '
+     '"id": "c-000042", "jobs": 5, "name": "overhead", '
+     '"recovered": true, "state": "queued", "submission": {"drop": 0, '
+     '"jobs": 1, "n_threads": 2, "runs": 2, "scale": 0.25, '
+     '"suite": "overhead", "workloads": ["micro_low_abort"]}, '
+     '"submitted_at": 12.5, "suite": "overhead", '
+     '"target_keys": ["e56c4c0441f950c98715fc9e4c7582d0'
+     '0bc15aadcfcad24f2d3d9637ffd18af8"], '
+     '"targets": 1}'),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +228,26 @@ class TestSubmissionKwargs:
         ({"suite": "overhead", "scale": -1}, "scale"),
         ({"suite": "overhead", "runs": 0}, "runs"),
         ({"suite": "overhead", "drop": -1}, "drop"),
+        ({"suite": "overhead", "refresh": "false"}, "refresh"),
+        ({"suite": "overhead", "refresh": 0}, "refresh"),
+        ({"suite": "overhead", "jobs": 1.5}, "jobs"),
+        ({"suite": "overhead", "timeout": 1e300}, "timeout"),
+        ({"suite": "overhead", "timeout": float("inf")}, "timeout"),
+        ({"suite": "overhead", "timeout": float("nan")}, "timeout"),
+        ({"suite": "overhead", "timeout": MAX_SECONDS + 1}, "timeout"),
+        ({"suite": "overhead", "deadline": float("inf")}, "deadline"),
+        ({"suite": "overhead", "deadline": 1e12}, "deadline"),
     ])
     def test_rejections(self, doc, fragment):
         with pytest.raises(SuiteError, match=fragment):
             submission_kwargs(doc)
+
+    def test_longest_accepted_timeout_arms_a_timer(self):
+        """The ceiling is one a worker's interval timer can arm."""
+        submission_kwargs({**TINY, "timeout": MAX_SECONDS,
+                           "deadline": MAX_SECONDS, "refresh": False})
+        old = signal.setitimer(signal.ITIMER_REAL, MAX_SECONDS)
+        signal.setitimer(signal.ITIMER_REAL, *old)
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +263,23 @@ def _tiny_campaign():
 class TestRegistry:
     def test_lifecycle_and_counts(self):
         reg = TaskRegistry()
-        campaign = _tiny_campaign()
-        a = reg.create("overhead", dict(TINY), campaign, 1, None, False)
-        b = reg.create("overhead", dict(TINY), campaign, 1, None, False)
+        a = reg.add(build_task(dict(TINY)))
+        b = reg.add(build_task(dict(TINY)))
         assert (a.id, b.id) == ("c-000001", "c-000002")
         assert reg.get(a.id) is a
         assert reg.get("c-999999") is None
         assert [t.id for t in reg.list()] == [a.id, b.id]
         assert reg.counts() == {"queued": 2}
-        reg.mark_running(a)
-        reg.mark_done(a, {"executed": 1})
-        reg.mark_failed(b, "boom")
+        reg.transition(a, "running")
+        reg.transition(a, "done", summary={"executed": 1})
+        reg.transition(b, "failed", error="boom")
         assert reg.counts() == {"done": 1, "failed": 1}
         assert a.finished and a.summary == {"executed": 1}
         assert b.error == "boom" and b.finished_at is not None
 
     def test_event_feed_ordering_and_pagination(self):
         reg = TaskRegistry()
-        task = reg.create("overhead", dict(TINY), _tiny_campaign(),
-                          1, None, False)
+        task = reg.add(build_task(dict(TINY)))
         for n in range(5):
             reg.append_event(task, {"type": "job", "n": n})
         events, finished = reg.events_since(task, 0)
@@ -217,7 +288,7 @@ class TestRegistry:
         assert not finished
         events, _ = reg.events_since(task, 3)
         assert [e["n"] for e in events] == [3, 4]
-        reg.mark_done(task, {})
+        reg.transition(task, "done", summary={})
         events, finished = reg.events_since(task, 5)
         assert events == [] and finished
 
@@ -228,8 +299,7 @@ class TestRegistry:
         base = campaign_status_doc("overhead", campaign, "pending",
                                    dict(TINY))
         reg = TaskRegistry()
-        task = reg.create("overhead", dict(TINY), campaign, 1, None,
-                          False)
+        task = reg.add(build_task(dict(TINY)))
         served = task.status_doc()
         for key in base:  # every shared key, same value modulo state
             assert key in served
@@ -237,6 +307,26 @@ class TestRegistry:
                 assert served[key] == base[key]
         assert served["target_keys"] == list(campaign.targets)
         assert {"id", "events", "submitted_at"} <= set(served)
+
+    def test_status_docs_are_pinned(self, monkeypatch):
+        """Queued, running, done, failed and recovered tasks serve the
+        exact documents they did before tasks became journal records."""
+        monkeypatch.setattr(time, "time", lambda: 1700000000.25)
+        reg = TaskRegistry()
+        queued = reg.add(build_task(dict(TINY)))
+        running = reg.add(build_task({**TINY, "deadline": 30.0}))
+        reg.transition(running, "running")
+        reg.append_event(running, {"type": "plan"})
+        done = reg.add(build_task(dict(TINY)))
+        reg.transition(done, "done", summary={"jobs": 3, "hits": 1})
+        failed = reg.add(build_task(dict(TINY)))
+        reg.transition(failed, "failed", error="boom: é\"quoted\"")
+        recovered = reg.add(build_task(dict(TINY), TaskRecord(
+            id="c-000042", suite="overhead", doc=dict(TINY),
+            submitted_at=12.5)))
+        tasks = (queued, running, done, failed, recovered)
+        assert [t.status_doc() for t in tasks] == [
+            json.loads(doc) for doc in PINNED_STATUS_DOCS]
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +523,19 @@ class TestLiveServer:
             client._request("PUT", "/v1/campaigns")
         assert err.value.status == 405
 
+    @pytest.mark.parametrize("field,value", [
+        ("refresh", "false"), ("timeout", 1e300),
+        ("timeout", float("inf")), ("deadline", 1e12),
+    ])
+    def test_runner_fields_out_of_range_are_400(self, live, field, value):
+        daemon, client, _ = live
+        before = len(daemon.registry.list())
+        with pytest.raises(ServeError) as err:
+            client.submit({**TINY, field: value})
+        assert err.value.status == 400
+        assert field in str(err.value)
+        assert len(daemon.registry.list()) == before
+
     def test_result_of_unfinished_campaign_is_400(self, live):
         daemon, client, _ = live
         # a campaign that cannot have finished yet: submit and race
@@ -605,12 +708,12 @@ class TestPushedStreams:
                                         "mark_failed"])
     def test_watcher_is_woken_from_another_thread(self, change):
         reg = TaskRegistry()
-        task = reg.create("overhead", dict(TINY), _tiny_campaign(),
-                          1, None, False)
+        task = reg.add(build_task(dict(TINY)))
         act = {
             "append_event": lambda: reg.append_event(task, {"n": 0}),
-            "mark_done": lambda: reg.mark_done(task, {}),
-            "mark_failed": lambda: reg.mark_failed(task, "boom"),
+            "mark_done": lambda: reg.transition(task, "done", summary={}),
+            "mark_failed": lambda: reg.transition(task, "failed",
+                                                  error="boom"),
         }[change]
 
         async def scenario() -> None:
@@ -637,8 +740,7 @@ class TestPushedStreams:
         daemon = ServeDaemon(store=MemoryStore(), runners=1)
         server = BackgroundServer(daemon)
         # registered directly: no runner executes it, this test does
-        task = daemon.registry.create("overhead", dict(TINY),
-                                      _tiny_campaign(), 1, None, False)
+        task = daemon.registry.add(build_task(dict(TINY)))
         try:
             port = server.start()
             client = ServeClient(f"http://127.0.0.1:{port}")
@@ -660,8 +762,9 @@ class TestPushedStreams:
             event = received.get(timeout=10)
             assert (event["type"], event["i"]) == ("plan", 0)
             assert received.empty()  # the stream is still open
-            threading.Thread(target=daemon.registry.mark_done,
-                             args=(task, {})).start()
+            threading.Thread(target=daemon.registry.transition,
+                             args=(task, "done"),
+                             kwargs={"summary": {}}).start()
             assert received.get(timeout=10) is None  # ended
             reader.join(10)
             assert not reader.is_alive()
@@ -680,8 +783,7 @@ class TestPushedStreams:
             client = ServeClient(f"http://127.0.0.1:{port}", retries=0)
 
             # follow=0 returns what is there and unregisters
-            task = reg.create("overhead", dict(TINY), _tiny_campaign(),
-                              1, None, False)
+            task = reg.add(build_task(dict(TINY)))
             reg.append_event(task, {"type": "plan"})
             assert len(list(client.stream_events(task.id,
                                                  follow=False))) == 1
@@ -701,7 +803,7 @@ class TestPushedStreams:
             _wait_until(lambda: _watching(reg) == 1, "raw stream waits")
             sock.close()
             reg.append_event(task, {"type": "job"})
-            reg.mark_done(task, {})
+            reg.transition(task, "done", summary={})
             _wait_until(lambda: _watching(reg) == 0, "disconnected client")
         finally:
             server.stop()
@@ -711,21 +813,17 @@ class TestPushedStreams:
         daemon = ServeDaemon(store=MemoryStore(), runners=1)
         server = BackgroundServer(daemon)
         reg = daemon.registry
-        campaign = _tiny_campaign()
-        queued = reg.create("overhead", dict(TINY), campaign, 1, None,
-                            False)
-        running = reg.create("overhead", dict(TINY), campaign, 1, None,
-                             False, deadline=30.0)
-        reg.mark_running(running)
+        queued = reg.add(build_task(dict(TINY)))
+        running = reg.add(build_task({**TINY, "deadline": 30.0}))
+        reg.transition(running, "running")
         reg.append_event(running, {"type": "plan"})
-        done = reg.create("overhead", dict(TINY), campaign, 1, None, False)
-        reg.mark_done(done, {"jobs": 3, "hits": 1})
-        failed = reg.create("overhead", dict(TINY), campaign, 1, None,
-                            False)
-        reg.mark_failed(failed, "boom: é\"quoted\"")
-        recovered = reg.create("overhead", dict(TINY), campaign, 1, None,
-                               False, task_id="c-000042",
-                               submitted_at=12.5, recovered=True)
+        done = reg.add(build_task(dict(TINY)))
+        reg.transition(done, "done", summary={"jobs": 3, "hits": 1})
+        failed = reg.add(build_task(dict(TINY)))
+        reg.transition(failed, "failed", error="boom: é\"quoted\"")
+        recovered = reg.add(build_task(dict(TINY), TaskRecord(
+            id="c-000042", suite="overhead", doc=dict(TINY),
+            submitted_at=12.5)))
         assert [t.state for t in (queued, running, done, failed,
                                   recovered)] == [
             "queued", "running", "done", "failed", "queued"]
@@ -758,8 +856,7 @@ class TestPushedStreams:
         the interpreter switching threads often, the stream still sees
         every event, in order, and ends — a lost wake would hang it."""
         reg = TaskRegistry()
-        task = reg.create("overhead", dict(TINY), _tiny_campaign(),
-                          1, None, False)
+        task = reg.add(build_task(dict(TINY)))
         writers, per_writer = 6, 200
 
         def write() -> None:
@@ -783,7 +880,7 @@ class TestPushedStreams:
         def finish(workers: list[threading.Thread]) -> None:
             for w in workers:
                 w.join(30)
-            reg.mark_done(task, {})
+            reg.transition(task, "done", summary={})
 
         async def scenario() -> list[int]:
             workers = [threading.Thread(target=write)

@@ -18,14 +18,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.campaign.store import CrashPoint, MemoryStore, ResultStore
-from repro.campaign.suites import build_campaign
 from repro.serve import (
     BackgroundServer,
     ServeClient,
     ServeDaemon,
     ServeError,
 )
-from repro.serve.journal import BOUNDARIES, JournalError, TaskJournal
+from repro.serve.daemon import build_task
+from repro.serve.journal import (
+    BOUNDARIES,
+    JournalError,
+    TaskJournal,
+    TaskRecord,
+)
 from repro.serve.supervise import (
     CircuitBreaker,
     CircuitOpen,
@@ -215,6 +220,41 @@ class TestJournal:
         assert second_state.records["c-1"].state == "done"
         assert second_state.epoch == 1
 
+    def test_live_entries_and_snapshot_fold_alike(self, tmp_path):
+        """A record in each state, journaled live through every state
+        it passed and snapshotted, folds back to the same state both
+        ways: TaskRecord.entry writes what _fold reads."""
+        paths = {"accepted": (), "running": ("running",),
+                 "publishing": ("running", "publishing"),
+                 "done": ("running", "publishing", "done"),
+                 "failed": ("running", "failed")}
+        records = [TaskRecord(id=f"c-{i}", suite="overhead",
+                              doc={"suite": "overhead", "seed": i},
+                              state=state, submitted_at=float(i))
+                   for i, state in enumerate(paths)]
+        records[1].epoch, records[1].pid = 1, 7
+        records[2].deadline = 9.5
+        records[3].summary = {"jobs": 3}
+        records[3].finished_at = records[4].finished_at = 20.0
+        records[4].error = "boom"
+        live = TaskJournal(tmp_path / "live.log")
+        live.recover()
+        for rec in records:
+            for step in ("accepted", *paths[rec.state]):
+                kind, fields = rec.entry(step)
+                live.append(kind, **fields)
+        live.append("epoch", epoch=1, pid=7, recovered=1, expired=1)
+        live.close()
+        folded = TaskJournal(tmp_path / "live.log").recover()
+        snap = TaskJournal(tmp_path / "snap.log")
+        snap.snapshot(folded)
+        snap.close()
+        again = TaskJournal(tmp_path / "snap.log").recover()
+        expected = {rec.id: rec for rec in records}
+        assert folded.records == again.records == expected
+        assert folded.epoch == again.epoch == 1
+        assert (folded.entries, again.entries) == (14, 10)
+
     def test_group_commit_under_contention(self, tmp_path):
         journal = TaskJournal(tmp_path / "j.log")
         journal.recover()
@@ -356,11 +396,8 @@ class TestAdmission:
 
 def _occupy_queue(daemon: ServeDaemon, n: int) -> None:
     """Park n queued tasks in the registry without executing them."""
-    campaign = build_campaign("overhead", workloads=["micro_low_abort"],
-                              n_threads=2, scale=0.25, runs=1, drop=0)
     for _ in range(n):
-        daemon.registry.create("overhead", dict(TINY), campaign, 1,
-                               None, False)
+        daemon.registry.add(build_task(dict(TINY)))
 
 
 @pytest.mark.slow

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Any
 
 from ...sim.config import line_of
 from ...sim.program import OP_LOAD
+from ..summarize import set_ways
 from .cache import SummaryCache
 from .cfg import CFG
 from .domains import FootprintFact, Interval, widen_monotone
@@ -155,17 +156,6 @@ def _joined_monotone(per_tid: dict[int, list[int]]) -> Interval:
     return acc if acc is not None else Interval(0, 0)
 
 
-def _ways_of(region: RegionInstance, n_sets: int) -> int:
-    by_set: dict[int, int] = {}
-    worst = 0
-    for line in region.write_lines():
-        idx = line % n_sets
-        depth = by_set.get(idx, 0) + 1
-        by_set[idx] = depth
-        worst = max(worst, depth)
-    return worst
-
-
 def _instance_trips(region: RegionInstance, header: int) -> int:
     return sum(
         count for (u, v), count in region.edges.items() if v == header and v <= u
@@ -265,7 +255,7 @@ def analyze_site(
         {t: [len(r.write_lines()) for r in rs] for t, rs in per_tid.items()}
     )
     sd.ways = _joined_monotone(
-        {t: [_ways_of(r, n_sets) for r in rs] for t, rs in per_tid.items()}
+        {t: [set_ways(r.write_lines(), n_sets) for r in rs] for t, rs in per_tid.items()}
     )
     sd.depth = _joined_monotone(
         {t: [r.max_depth for r in rs] for t, rs in per_tid.items()}
@@ -340,7 +330,8 @@ def _emit_findings(
         observed = (
             observed_w > cfg.wset_lines
             or observed_r > cfg.rset_lines
-            or max(_ways_of(r, ws.n_sets) for r in instances) > cfg.wset_assoc
+            or max(set_ways(r.write_lines(), ws.n_sets)
+                   for r in instances) > cfg.wset_assoc
         )
         if observed:
             detail = "some executions overflow the budget, others fit"

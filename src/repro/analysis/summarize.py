@@ -81,7 +81,7 @@ class WorkloadSummary:
         return sorted(self.sections.values(), key=lambda s: s.site)
 
 
-def _ways(write_lines: set[int], n_sets: int) -> int:
+def set_ways(write_lines: set[int], n_sets: int) -> int:
     """Deepest associativity-set occupancy of one instance's write set."""
     by_set: dict[int, int] = {}
     worst = 0
@@ -114,7 +114,7 @@ def summarize(ir: ProgramIR) -> WorkloadSummary:
                 ws.sections[region.site] = s
             read_lines = region.read_lines()
             write_lines = region.write_lines()
-            ways = _ways(write_lines, n_sets)
+            ways = set_ways(write_lines, n_sets)
             first = s.instances == 0
             s.instances += 1
             s.tids.add(region.tid)

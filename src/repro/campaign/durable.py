@@ -8,15 +8,16 @@ they share (the LevelDB recipe: one log format for the WAL and the
 MANIFEST).  It is stateless; file handles, crash hooks and group commit
 stay with the owners.
 
-Two line decoders cover both layouts:
-
-* :func:`plain` — one JSON object per line (store MANIFEST; the
-  store's ``record_line`` narrows it to record lines for its WALs and
-  segments);
-* :func:`unframe` — the journal's CRC frame ``{"c": <crc>, "j": <entry>}``
-  as :func:`frame` writes it.  The CRC-32 is checked over the ``"j"``
-  slice exactly as written, never over a re-encoding, so a line not in
-  the writer's exact layout counts as damage.
+Every line is the CRC frame ``{"c": <crc>, "j": <entry>}`` that
+:func:`frame` writes, and :func:`decode` is the one reader.  The CRC-32
+is checked over the ``"j"`` slice exactly as written, never over a
+re-encoding, so a line not in the writer's exact layout counts as
+damage.  :func:`decode` also reads the unframed JSON-object lines that
+result stores wrote before they framed theirs, but never a line that
+starts like a frame and fails its CRC, nor an object that still carries
+``"c"`` or ``"j"`` (a frame whose head byte flipped).  :func:`reframe`
+turns such a legacy line into a frame, so the store's recovery and
+compaction rewrite legacy lines on their normal write paths.
 
 Recovery reads a file with :func:`scan`, which stops at the first line
 its decoder rejects; the bytes from there on are a torn tail (hard-kill
@@ -115,6 +116,22 @@ def unframe(line: bytes) -> dict | None:
     if line[len(_HEAD):mid] != b"%d" % zlib.crc32(payload):
         return None  # flipped bit: contained like a torn tail
     return plain(payload)
+
+
+def decode(line: bytes) -> dict | None:
+    """Decode one durable line: a frame, or a legacy unframed
+    JSON-object line; None on any damage."""
+    if line.startswith(_HEAD):
+        return unframe(line)
+    entry = plain(line)
+    # a frame whose head byte flipped still parses: damage, not legacy
+    return None if entry is None or "c" in entry or "j" in entry else entry
+
+
+def reframe(line: bytes, entry: dict) -> bytes:
+    """``line``, which :func:`decode` read as ``entry``, as a frame
+    without its newline: a frame's own bytes, a legacy line framed."""
+    return line if line.startswith(_HEAD) else frame(entry)[:-1]
 
 
 def damage_kind(tail: bytes, decode: Decode) -> str:

@@ -246,9 +246,9 @@ class CampaignRunner:
 
     def summary(self) -> dict:
         """Headline numbers for the end-of-run status line."""
+        snap = self.metrics.snapshot()
 
         def val(name: str) -> int:
-            snap = self.metrics.snapshot()
             return snap.get(name, {}).get("value", 0)
 
         hits, misses = val("campaign.cache.hits"), val("campaign.cache.misses")

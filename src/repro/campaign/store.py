@@ -2,13 +2,14 @@
 
 Layout under the cache root (default ``.repro-cache/``)::
 
-    MANIFEST              write-ahead ledger (JSON lines)
+    MANIFEST              write-ahead ledger (CRC-framed lines)
     wal-00000001.log      write-ahead log of unflushed records
-    seg-00000001.jsonl    immutable sorted record segments (JSON lines)
+    seg-00000001.jsonl    immutable sorted record segments (framed lines)
     seg-00000002.jsonl
     replay/<key>.rlog     content-addressed replay-log sidecars
 
-Every record is one JSON line ``{"seq": n, "key": h, "record": {...}}``;
+Every record is one CRC-framed line of :mod:`repro.campaign.durable`
+whose entry is ``{"seq": n, "key": h, "record": {...}}``;
 ``key`` is a :class:`JobSpec` content hash, so the store is
 content-addressed — re-running an identical job lands on the same key
 and is a cache hit.  ``seq`` totally orders writes, which makes recovery
@@ -71,7 +72,6 @@ transparently; their segments are treated as level 0.
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 from collections.abc import Callable, Iterable
@@ -79,14 +79,14 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING
 
 from .durable import (
-    Decode,
     damage_kind,
+    decode,
+    frame,
     fsync,
-    plain,
     read,
+    reframe,
     repair_tail,
     scan,
-    unframe,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -119,7 +119,7 @@ def record_line(line: bytes) -> dict | None:
     "record": {...}}``; None unless all three are there with those
     types.  Recovery, :meth:`ResultStore._read` and scrub all judge a
     line by this one decoder, so they reach one verdict."""
-    entry = plain(line)
+    entry = decode(line)
     if (entry is None or not isinstance(entry.get("seq"), int)
             or not isinstance(entry.get("key"), str)
             or not isinstance(entry.get("record"), dict)):
@@ -259,7 +259,7 @@ class ResultStore:
         live: list[str] = []
         levels: dict[str, int] = {}
         manifest = self.root / self.MANIFEST
-        found = scan(read(manifest), plain)
+        found = scan(read(manifest), decode)
         # repair the tail NOW: the next manifest append would otherwise
         # glue onto a torn or unterminated line, and both the garbage
         # and the new entry would be unreadable on replay
@@ -314,15 +314,16 @@ class ResultStore:
         # segments already hold — the seq comparison absorbs them) and
         # entries newer than the flushed state rebuild the memtable
         for name in sorted(wal_names):
-            found = scan(read(self.root / name), record_line)
+            raw = read(self.root / name)
+            found = scan(raw, record_line)
             repair_tail(self.root / name, found.valid)
-            for entry in found.entries:
+            for offset, length, entry in found.lines:
                 key, seq = entry["key"], entry["seq"]
                 self._next_seq = max(self._next_seq, seq + 1)
                 indexed = self._index.get(key)
                 if indexed is not None and indexed[0] >= seq:
                     continue  # already flushed into a segment
-                line = json.dumps(entry, sort_keys=True).encode()
+                line = reframe(raw[offset:offset + length], entry)
                 prev = self._mem.get(key)
                 if prev is not None:
                     if prev[0] >= seq:
@@ -365,7 +366,7 @@ class ResultStore:
     def _append_manifest(self, doc: dict) -> None:
         with self._manifest_mu, \
                 (self.root / self.MANIFEST).open("ab") as fh:
-            fh.write(json.dumps(doc, sort_keys=True).encode() + b"\n")
+            fh.write(frame(doc))
             fsync(fh)
 
     def _open_wal(self) -> None:
@@ -459,10 +460,9 @@ class ResultStore:
                 record = self._stash_replay(key, record)
                 seq = self._next_seq
                 self._next_seq += 1
-                line = json.dumps(
-                    {"seq": seq, "key": key, "record": record},
-                    sort_keys=True,
-                ).encode()
+                # the memtable keeps each line without its newline
+                line = frame({"seq": seq, "key": key,
+                              "record": record})[:-1]
                 encoded.append((key, seq, line))
             if not encoded:
                 return 0
@@ -596,7 +596,8 @@ class ResultStore:
                 key, seq = entry["key"], entry["seq"]
                 prev = folded.get(key)
                 if prev is None or seq > prev[0]:
-                    folded[key] = (seq, raw[offset:offset + length])
+                    folded[key] = (seq, reframe(raw[offset:offset + length],
+                                                entry))
         return folded
 
     def compact_level(self, level: int) -> int:
@@ -629,6 +630,12 @@ class ResultStore:
             dropped = 0
             with self._mu:
                 input_set = set(inputs)
+                # a line damaged since open stops its file's fold early;
+                # dropping the inputs would lose the records past it
+                for key, (seq, home, _, _) in self._index.items():
+                    if home in input_set and folded.get(key, (0,))[0] != seq:
+                        raise StoreError(f"corrupt record for {key[:12]} "
+                                         f"in {home}; not compacting")
                 for key in sorted(folded):
                     seq, line = folded[key]
                     loc = self._index.get(key)
@@ -677,14 +684,16 @@ class ResultStore:
 
     def compact(self) -> int:
         """Full fold: flush the memtable, merge every live segment into
-        one at the deepest level, drop superseded records, prune
-        orphaned replay sidecars.  Returns the records dropped."""
+        one at the deepest level, drop superseded records, rewrite the
+        manifest, prune orphaned replay sidecars.  Returns the records
+        dropped."""
         self.flush()
         with self._mu:
             dropped = self.superseded
             inputs = list(self._live)
         if inputs:
             self._compact_segments(inputs, self.max_level)
+        self._rewrite_manifest()
         with self._mu:
             self.superseded = 0
             live_keys = set(self._index)
@@ -697,6 +706,21 @@ class ResultStore:
                 except FileNotFoundError:
                     pass
         return dropped
+
+    def _rewrite_manifest(self) -> None:
+        """Replace the manifest with one framed entry per live segment
+        and WAL, dropping its history and any legacy lines.  The rename
+        is atomic: a crash leaves the old ledger or the new, both whole."""
+        with self._maint_mu, self._mu, self._manifest_mu:
+            docs = [{"op": "add", "segment": s,
+                     "level": self._levels.get(s, 0)} for s in self._live]
+            docs += [{"op": "wal", "wal": name}
+                     for name in self._imm_wals + self._wal_files]
+            tmp = self.root / f"{self.MANIFEST}.tmp"
+            with tmp.open("wb") as fh:
+                fh.write(b"".join(map(frame, docs)))
+                fsync(fh)
+            tmp.replace(self.root / self.MANIFEST)
 
     def _unlink_segment(self, segment: str) -> None:
         """Caller holds ``_mu``."""
@@ -732,23 +756,25 @@ class ResultStore:
     def _read(self, key: str) -> dict | None:
         with self._mu:
             entry = self._mem.get(key) or self._imm.get(key)
-            if entry is not None:
-                return self._resolve_replay(json.loads(entry[1])["record"])
-            loc = self._index.get(key)
-            if loc is None:
-                return None
+            loc = None if entry is not None else self._index.get(key)
+            if loc is not None:
+                self._pin(loc[1])
+        if entry is not None:
+            line, where = entry[1], "the memtable"
+        elif loc is None:
+            return None
+        else:
             _, segment, offset, length = loc
-            self._pin(segment)
-        try:
-            with (self.root / segment).open("rb") as fh:
-                fh.seek(offset)
-                line = fh.read(length)
-        finally:
-            self._unpin(segment)
+            where = f"{segment}@{offset}"
+            try:
+                with (self.root / segment).open("rb") as fh:
+                    fh.seek(offset)
+                    line = fh.read(length)
+            finally:
+                self._unpin(segment)
         doc = record_line(line)
         if doc is None:
-            raise StoreError(
-                f"corrupt record for {key[:12]} in {segment}@{offset}")
+            raise StoreError(f"corrupt record for {key[:12]} in {where}")
         return self._resolve_replay(doc["record"])
 
     def fetch(self, key: str) -> dict | None:
@@ -874,10 +900,12 @@ class ResultStore:
                           else self.last_scrub["summary"]),
             }
 
-    def export_metrics(self, registry: MetricsRegistry) -> None:
-        """Surface :meth:`stats` through an obs metrics registry (the
+    def export_metrics(self, registry: MetricsRegistry,
+                       st: dict | None = None) -> None:
+        """Surface :meth:`stats` — or ``st``, a snapshot of it the
+        caller already took — through an obs metrics registry (the
         daemon scrapes this on every ``/v1/stats`` hit)."""
-        st = self.stats()
+        st = self.stats() if st is None else st
         g = registry.gauge
         g("store.records").set(st["records"])
         g("store.segments").set(st["segments"])
@@ -912,26 +940,23 @@ def _quarantine(root: Path, name: str) -> None:
 def scrub_files(root: str | Path, repair: bool = False) -> dict:
     """Walk a store directory and verify every on-disk structure.
 
-    Checks, without opening a live store:
+    Checks, without opening a live store, every line of the manifest,
+    the segments, the WALs and the task journal with
+    :func:`~repro.campaign.durable.decode` — the per-line CRC check
+    their own recovery applies, so a flipped bit that still parses as
+    JSON counts as damage here too:
 
-    * **manifest** — parseable JSON lines all the way down;
-    * **segments** — each manifest-live segment decodes cleanly with
-      :func:`record_line`, the decoder recovery and reads use; any
-      ``seg-*.jsonl`` the manifest doesn't reference is an *orphan*
+    * **manifest** and **task journal** — intact lines all the way down;
+    * **segments** — each manifest-live segment's lines also pass
+      :func:`record_line`'s shape check, as recovery and reads require;
+      any ``seg-*.jsonl`` the manifest doesn't reference is an *orphan*
       (crash-abandoned zombie — its records were compacted elsewhere);
-    * **WALs** — every ``wal-*.log`` decodes the same way (recovery replays
-      them all, so damage here is damage to un-flushed acked writes);
+    * **WALs** — every ``wal-*.log`` is judged the same way (recovery
+      replays them all, so damage here is damage to un-flushed acked
+      writes);
     * **replay sidecars** — each ``replay/*.rlog`` passes the replay
       reader's per-line CRC + manifest-digest verification (sidecars
-      are written whole, so an incomplete one is corrupt, not torn);
-    * **task journal** — ``serve-journal.log`` passes the per-line CRC
-      check of :func:`~repro.campaign.durable.unframe` — the same
-      verdict its recovery reaches, so a flipped bit that still parses
-      as JSON counts as damage here too.
-
-    Segments, WALs and the manifest carry no CRC: a flipped byte that
-    leaves a valid line (say, inside a string value) passes both
-    recovery and scrub.
+      are written whole, so an incomplete one is corrupt, not torn).
 
     With ``repair=True``, a damaged manifest, segment, WAL or journal is
     truncated to its valid prefix (exactly what recovery would do; for
@@ -950,13 +975,14 @@ def scrub_files(root: str | Path, repair: bool = False) -> dict:
     torn = corrupt = orphans = repaired = records = 0
     live: set[str] = set()
 
-    def check(path: Path, decode: Decode = plain,
+    def check(path: Path, record_file: bool = False,
               orphan: bool = False) -> list[dict]:
-        """Scan one line file with the decoder its own recovery uses,
-        so scrub reaches the same verdict; returns its intact entries."""
+        """Scan one line file as its own recovery does (record files
+        with :func:`record_line`), so scrub reaches the same verdict;
+        returns its intact entries."""
         nonlocal torn, corrupt, orphans, repaired
         raw = read(path)
-        found = scan(raw, decode)
+        found = scan(raw, record_line if record_file else decode)
         state = "ok"
         if orphan:
             state = "orphan"
@@ -993,15 +1019,13 @@ def scrub_files(root: str | Path, repair: bool = False) -> dict:
                 elif entry.get("op") == "drop":
                     live.discard(segment)
     for path in sorted(root.glob("seg-*.jsonl")):
-        records += len(check(path, record_line,
+        records += len(check(path, record_file=True,
                              orphan=path.name not in live))
     for path in sorted(root.glob("wal-*.log")):
-        records += len(check(path, record_line))
+        records += len(check(path, record_file=True))
     journal = root / "serve-journal.log"
     if journal.exists():
-        # CRC-framed: a bit flip that still parses as JSON is damage
-        # the journal's own recovery would truncate
-        check(journal, unframe)
+        check(journal)
     replay_dir = root / ResultStore.REPLAY_DIR
     sidecars = 0
     if replay_dir.is_dir():

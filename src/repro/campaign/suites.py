@@ -211,14 +211,24 @@ def run_suite(suite: str, runner: CampaignRunner | None = None,
 # builds exactly the campaign the equivalent command line would
 # ---------------------------------------------------------------------------
 
+#: the largest magnitude each campaign-identity field accepts: far
+#: above any real campaign, and low enough that ``runs`` cannot make
+#: ``submit`` build an unbounded job list inside the request
+MAX_THREADS = 256
+MAX_SCALE = 100.0
+MAX_SEED = 2**32 - 1
+MAX_RUNS = 1000
+MAX_DROP = MAX_RUNS
+
 #: campaign-identity fields a submission document may carry, with the
-#: coercion applied to each (everything arrives as JSON scalars)
-SUBMISSION_FIELDS: dict[str, Any] = {
-    "n_threads": int,
-    "scale": float,
-    "seed": int,
-    "runs": int,
-    "drop": int,
+#: coercion and the ceiling applied to each (everything arrives as JSON
+#: scalars)
+SUBMISSION_FIELDS: dict[str, tuple[type, float]] = {
+    "n_threads": (int, MAX_THREADS),
+    "scale": (float, MAX_SCALE),
+    "seed": (int, MAX_SEED),
+    "runs": (int, MAX_RUNS),
+    "drop": (int, MAX_DROP),
 }
 
 #: executor knobs that ride along in a submission but are the *runner's*
@@ -270,12 +280,19 @@ def submission_kwargs(doc: dict) -> tuple[str, dict[str, Any]]:
                 or not all(isinstance(w, str) for w in workloads)):
             raise SuiteError("workloads must be a list of strings")
         kwargs["workloads"] = list(workloads) or None
-    for field_name, coerce in SUBMISSION_FIELDS.items():
+    for field_name, (coerce, ceiling) in SUBMISSION_FIELDS.items():
         if field_name not in doc:
             continue
         value = doc[field_name]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SuiteError(f"{field_name} must be a number, "
+                             f"got {value!r}")
+        # a huge int overflows math.isfinite: test the ceiling first
+        if abs(value) > ceiling or not math.isfinite(value):
+            raise SuiteError(f"{field_name} must be finite and at most "
+                             f"{ceiling} in magnitude, got {value!r}")
+        if coerce is int and value != int(value):
+            raise SuiteError(f"{field_name} must be a whole number, "
                              f"got {value!r}")
         kwargs[field_name] = coerce(value)
     if kwargs.get("n_threads", 1) < 1:

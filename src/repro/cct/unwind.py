@@ -134,16 +134,3 @@ def reconstruct(sample: Sample, in_txn: bool) -> Reconstruction:
     base.append(ip_key(sample.ip))
     return Reconstruction(path=tuple(base), in_txn=in_txn,
                           truncated=truncated, confidence=confidence)
-
-
-def prefix_matches(
-    chain: Sequence[tuple[int, int]],
-    innermost_frame_base: int,
-    function_span: int,
-) -> bool:
-    """Figure 3's consistency check: does the oldest reconstructed call
-    originate from the function at the top of the unwound stack?"""
-    if not chain:
-        return True
-    callsite = chain[0][0]
-    return 0 <= callsite - innermost_frame_base < function_span

@@ -247,7 +247,7 @@ def _abandon_daemon(daemon: ServeDaemon) -> int:
     that the file lost.  A kill keeps every byte that reached the OS,
     so anything but 0 means an append returned before its entry left
     Python's buffer."""
-    from ..campaign.durable import read, scan, unframe
+    from ..campaign.durable import decode, read, scan
 
     daemon._closed = True  # a later close() must not tidy anything up
     daemon._runners.shutdown(wait=False, cancel_futures=True)
@@ -258,7 +258,7 @@ def _abandon_daemon(daemon: ServeDaemon) -> int:
         if journal._fh is not None:
             _drop(journal._fh)
             journal._fh = None
-        found = scan(read(journal.path), unframe)
+        found = scan(read(journal.path), decode)
         kept = max((int(e.get("seq", 0)) for e in found.entries),
                    default=0)
         lost = max(0, journal._written_seq - kept)

@@ -354,7 +354,7 @@ class ServeDaemon:
         self.metrics.gauge("serve.draining").set(
             int(self.supervisor.draining))
         if isinstance(self.store, ResultStore):
-            self.store.export_metrics(self.metrics)
+            self.store.export_metrics(self.metrics, store_stats)
         return {
             "store": store_stats,
             "campaigns": by_state,

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
-from ..campaign.durable import frame, fsync, read, repair_tail, scan, unframe
+from ..campaign.durable import decode, frame, fsync, read, repair_tail, scan
 
 #: the journaled lifecycle, in order (terminal states last)
 TASK_STATES = ("accepted", "running", "publishing", "done", "failed")
@@ -203,7 +203,7 @@ class TaskJournal:
         """Replay the journal into a folded :class:`JournalState`,
         repairing any torn tail in place.  Safe to call exactly once,
         before the first append."""
-        found = scan(read(self.path), unframe)
+        found = scan(read(self.path), decode)
         repair_tail(self.path, found.valid)
         state = JournalState(torn_bytes=found.excess)
         entries = found.entries

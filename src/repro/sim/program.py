@@ -49,16 +49,6 @@ WRITE_OPS = frozenset((OP_STORE, OP_CAS))
 UNFRIENDLY_OPS = frozenset((OP_SYSCALL, OP_BARRIER))
 
 
-def op_kind(op: tuple) -> str:
-    """The opcode tag of one yielded instruction tuple."""
-    return op[0]
-
-
-def op_addr(op: tuple) -> int | None:
-    """The data address an op touches, or None for non-memory ops."""
-    return op[1] if op[0] in MEMORY_OPS else None
-
-
 #: size of the synthetic address range reserved per function
 FUNC_ADDR_SPAN = 0x10000
 #: base of the code segment (data addresses live far above; see memory.py)

@@ -3,6 +3,7 @@
 import json
 import threading
 
+from repro.campaign.durable import decode, scan
 from repro.campaign.store import MemoryStore, ResultStore
 
 
@@ -123,8 +124,8 @@ class TestWal:
             store.put(key, {"k": key})
         store.flush()
         seg = tmp_path / "s" / seg_files(tmp_path / "s")[0]
-        keys = [json.loads(line)["key"]
-                for line in seg.read_text().splitlines() if line.strip()]
+        keys = [entry["key"]
+                for entry in scan(seg.read_bytes(), decode).entries]
         assert keys == sorted(keys)
 
 

@@ -1,17 +1,19 @@
 """Crash properties of the durable line format, written once.
 
-:mod:`repro.campaign.durable` is the one scanner, tail repair and damage
-classifier under the result store's MANIFEST, WAL and segments (plain
-JSON lines) and the serve task journal (CRC-framed lines).  The store
-and journal tests exercise it through their owners; this file states
-the properties of the module itself, for both line layouts:
+:mod:`repro.campaign.durable` is the one encoder, decoder, scanner, tail
+repair and damage classifier under the result store's MANIFEST, WAL and
+segments and the serve task journal, all CRC-framed.  The store and
+journal tests exercise it through their owners; this file states the
+properties of the module itself, for frames and for the unframed JSON
+lines older stores wrote:
 
 * a cut at any byte offset reads back a prefix of what was written;
 * after a cut, :func:`repair_tail` plus one more append reads back
   every entry — a cut just before a newline must not let the next
   record fuse onto the last one;
-* a single-byte flip in a framed file never yields an entry that was
-  never written.
+* a single-byte change in a framed file never yields an entry that was
+  never written, and :func:`decode` never mistakes a damaged frame for
+  a legacy line.
 
 The oracle below is the journal's earlier line encoder, kept verbatim:
 :func:`frame` must write the same bytes and :func:`unframe` must read
@@ -31,9 +33,11 @@ from hypothesis import given, settings, strategies as st
 from repro.campaign import durable
 from repro.campaign.durable import (
     damage_kind,
+    decode,
     frame,
     plain,
     read,
+    reframe,
     repair_tail,
     scan,
     unframe,
@@ -49,7 +53,7 @@ def _oracle_encode(entry: dict) -> bytes:
 
 
 def _plain_line(entry: dict) -> bytes:
-    """A store line as the store writes it."""
+    """A store line as unframed (legacy) stores wrote it."""
     return json.dumps(entry, sort_keys=True).encode() + b"\n"
 
 
@@ -155,9 +159,64 @@ def test_framed_byte_flip_never_invents_an_entry(entries, data):
     assert found == entries[:len(found)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(entries=_logs, data=st.data())
+def test_decode_never_reads_a_changed_frame_as_an_entry(entries, data):
+    """:func:`decode` takes legacy lines too; a single-byte change to a
+    framed file must still never yield an entry that was never written."""
+    raw = bytearray(b"".join(frame(e) for e in entries))
+    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+    raw[at] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]),
+                        label="byte")
+    found = scan(bytes(raw), decode).entries
+    assert found == entries[:len(found)]
+
+
 # ---------------------------------------------------------------------------
 # pinned cases
 # ---------------------------------------------------------------------------
+
+
+_RECORD = {"key": "k1", "record": {"v": "gamma"}, "seq": 3}
+
+
+def test_no_single_byte_change_of_a_frame_decodes():
+    """Every byte of a frame — head, CRC, payload, tail — is covered:
+    a frame whose head byte flipped (``{"C": ...}``, ``{"c":\t...}``)
+    still parses as JSON, but it carries ``"c"`` or ``"j"`` and so is
+    damage, not a legacy line."""
+    line = frame(_RECORD)[:-1]
+    assert decode(line) == _RECORD
+    for at in range(len(line)):
+        for byte in range(256):
+            if byte != line[at]:
+                changed = line[:at] + bytes([byte]) + line[at + 1:]
+                assert decode(changed) is None, changed
+
+
+def test_flipped_head_byte_is_damage_not_legacy():
+    line = frame(_RECORD)[:-1]
+    for changed in (line.replace(b'"c"', b'"C"', 1),
+                    line.replace(b'"c": ', b'"c":\t', 1),
+                    line.replace(b'{"c": ', b'{"c":1', 1)):
+        assert plain(changed) is not None  # still a JSON object
+        assert decode(changed) is None
+
+
+def test_decode_reads_legacy_lines():
+    legacy = _plain_line(_RECORD)[:-1]
+    assert decode(legacy) == _RECORD
+    assert decode(b'{"op": "add", "segment": "seg-00000001.jsonl"}') \
+        == {"op": "add", "segment": "seg-00000001.jsonl"}
+    for line in (b'{"c": 1}', b'{"j": {}}', b'{"c": 5, "j": {"a": 1}}',
+                 b"5", b'{"a": 1'):
+        assert decode(line) is None
+
+
+def test_reframe_keeps_frames_and_frames_legacy_lines():
+    framed = frame(_RECORD)[:-1]
+    assert reframe(framed, _RECORD) is framed
+    assert reframe(_plain_line(_RECORD)[:-1], _RECORD) == framed
 
 
 def _accepted(i: int) -> bytes:

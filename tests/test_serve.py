@@ -23,7 +23,11 @@ from repro.campaign.scheduler import CampaignRunner
 from repro.campaign.spec import JobSpec
 from repro.campaign.store import MemoryStore, ResultStore
 from repro.campaign.suites import (
+    MAX_RUNS,
+    MAX_SCALE,
     MAX_SECONDS,
+    MAX_SEED,
+    MAX_THREADS,
     SuiteError,
     build_campaign,
     submission_kwargs,
@@ -237,10 +241,31 @@ class TestSubmissionKwargs:
         ({"suite": "overhead", "timeout": MAX_SECONDS + 1}, "timeout"),
         ({"suite": "overhead", "deadline": float("inf")}, "deadline"),
         ({"suite": "overhead", "deadline": 1e12}, "deadline"),
+        ({"suite": "overhead", "n_threads": 1e300}, "n_threads"),
+        ({"suite": "overhead", "n_threads": MAX_THREADS + 1}, "n_threads"),
+        ({"suite": "overhead", "n_threads": 2.5}, "whole number"),
+        ({"suite": "overhead", "runs": 1e300}, "runs"),
+        ({"suite": "overhead", "runs": MAX_RUNS + 1}, "runs"),
+        ({"suite": "overhead", "drop": float("inf")}, "drop"),
+        ({"suite": "overhead", "scale": float("inf")}, "scale"),
+        ({"suite": "overhead", "scale": MAX_SCALE * 2}, "scale"),
+        ({"suite": "overhead", "seed": float("nan")}, "seed"),
+        ({"suite": "overhead", "seed": 10**400}, "seed"),
+        ({"suite": "overhead", "seed": -(10**400)}, "seed"),
+        ({"suite": "overhead", "seed": MAX_SEED + 1}, "seed"),
     ])
     def test_rejections(self, doc, fragment):
         with pytest.raises(SuiteError, match=fragment):
             submission_kwargs(doc)
+
+    def test_ceilings_are_accepted(self):
+        _, kwargs = submission_kwargs(
+            {"suite": "overhead", "n_threads": MAX_THREADS,
+             "scale": MAX_SCALE, "seed": MAX_SEED, "runs": MAX_RUNS,
+             "drop": 3.0})
+        assert kwargs == {"n_threads": MAX_THREADS, "scale": MAX_SCALE,
+                          "seed": MAX_SEED, "runs": MAX_RUNS, "drop": 3}
+        assert type(kwargs["drop"]) is int
 
     def test_longest_accepted_timeout_arms_a_timer(self):
         """The ceiling is one a worker's interval timer can arm."""
@@ -392,6 +417,23 @@ class TestDaemon:
             assert doc["queue_depth"] == 0
             assert isinstance(doc["campaigns"], dict)
             assert "serve.queue.depth" in doc["metrics"]
+        finally:
+            daemon.close()
+
+    def test_stats_take_one_store_snapshot(self, tmp_path):
+        """``/v1/stats`` exports the store's metrics from the snapshot
+        it reports, instead of walking every segment a second time."""
+        store = ResultStore(tmp_path / "store", background=False)
+        daemon = ServeDaemon(store=store, runners=1)
+        calls = []
+        real = store.stats
+        store.stats = lambda: calls.append(1) or real()
+        try:
+            store.put("k1", {"v": 1})
+            doc = daemon.stats()
+            assert len(calls) == 1
+            assert doc["store"]["records"] == 1
+            assert doc["metrics"]["store.records"]["value"] == 1
         finally:
             daemon.close()
 

@@ -15,11 +15,11 @@ protocol into data:
   runs ready jobs on a ``ProcessPoolExecutor`` (``--jobs N``), with
   per-job timeouts, bounded retry with backoff for crashed workers, and
   graceful degradation to serial in-process execution at ``--jobs 1``.
-* :mod:`~repro.campaign.store` — an on-disk, log-structured result store
-  under ``.repro-cache/``: append-only segment files of JSON records
-  keyed by job hash, an in-memory index rebuilt from a write-ahead
-  manifest, and a compaction pass that folds segments and drops
-  superseded records.  Re-running any campaign is incremental.
+* :mod:`~repro.campaign.store` — an on-disk result store under
+  ``.repro-cache/``: one append-only log of CRC-framed records keyed by
+  job hash, an in-memory index rebuilt by scanning it, and a compaction
+  pass that rewrites it without superseded records.  Re-running any
+  campaign is incremental.
 * :mod:`~repro.campaign.suites` — campaign builders for the paper's
   harnesses (``table1``, ``figure7``, ``figure8``, ``overhead``,
   ``speedup``) and the assemblers that turn their records into figure

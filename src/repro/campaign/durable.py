@@ -1,11 +1,10 @@
 """One durable line format under every append-only file in a store root.
 
-The result store's MANIFEST, WAL and segments and the serve daemon's
-task journal are all the same thing on disk: newline-terminated
-records, appended and fsynced, whose tail a hard kill can cut at any
-byte.  This module is the one reader, repairer and damage classifier
-they share (the LevelDB recipe: one log format for the WAL and the
-MANIFEST).  It is stateless; file handles, crash hooks and group commit
+The result store's record log and the serve daemon's task journal are
+the same thing on disk: newline-terminated records, appended and
+fsynced, whose tail a hard kill can cut at any byte.  This module is
+the one reader, repairer, damage classifier and atomic rewriter they
+share.  It is stateless; file handles, crash hooks and group commit
 stay with the owners.
 
 Every line is the CRC frame ``{"c": <crc>, "j": <entry>}`` that
@@ -16,8 +15,8 @@ damage.  :func:`decode` also reads the unframed JSON-object lines that
 result stores wrote before they framed theirs, but never a line that
 starts like a frame and fails its CRC, nor an object that still carries
 ``"c"`` or ``"j"`` (a frame whose head byte flipped).  :func:`reframe`
-turns such a legacy line into a frame, so the store's recovery and
-compaction rewrite legacy lines on their normal write paths.
+turns such a legacy line into a frame, so the store's upgrade of a
+legacy directory writes only framed lines.
 
 Recovery reads a file with :func:`scan`, which stops at the first line
 its decoder rejects; the bytes from there on are a torn tail (hard-kill
@@ -26,6 +25,12 @@ which :func:`damage_kind` tells apart.  :func:`repair_tail` cuts the
 file back to its valid prefix and restores the final newline: a cut can
 land exactly at the end of a record but before its newline, and the
 next append would otherwise fuse onto that record and lose both.
+
+Both owners compact by :func:`rewrite`: the new content goes to a temp
+file beside the old one, is fsynced and renamed over it, and the
+directory is fsynced so the rename itself is durable.  A crash leaves
+the old file or the new one, both whole, plus at most a stray temp file
+(``<name>.tmp``) that nothing reads.
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ from typing import IO, Any, NamedTuple
 #: a line decoder: the entry, or None when the line is damaged
 Decode = Callable[[bytes], dict | None]
 
+#: suffix of :func:`rewrite`'s temp file
+TMP_SUFFIX = ".tmp"
+
 _HEAD = b'{"c": '
 _MID = b', "j": '
 
@@ -48,6 +56,16 @@ def fsync(fh: IO[Any]) -> None:
     """Flush ``fh`` and fsync its file."""
     fh.flush()
     os.fsync(fh.fileno())
+
+
+def sync_dir(path: Path) -> None:
+    """fsync the directory ``path``, making a file created or renamed
+    in it durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def read(path: Path) -> bytes:
@@ -145,6 +163,21 @@ def damage_kind(tail: bytes, decode: Decode) -> str:
             decode(line) is not None for line in lines[1:]):
         return "corrupt"
     return "torn"
+
+
+def rewrite(path: Path, data: bytes,
+            before_rename: Callable[[], None] | None = None) -> None:
+    """Replace ``path`` by ``data`` atomically and durably: temp file,
+    fsync, rename, fsync of the directory.  ``before_rename`` (a crash
+    hook) runs once the temp file is durable."""
+    tmp = path.with_name(path.name + TMP_SUFFIX)
+    with tmp.open("wb") as fh:
+        fh.write(data)
+        fsync(fh)
+    if before_rename is not None:
+        before_rename()
+    tmp.replace(path)
+    sync_dir(path.parent)
 
 
 def repair_tail(path: Path, valid: int) -> None:

@@ -472,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "store",
-        help="result-store maintenance (scrub: verify every segment, "
-             "WAL, task journal and replay sidecar)")
+        help="result-store maintenance (scrub: verify the record log, "
+             "task journal and every replay sidecar)")
     store_sub = p.add_subparsers(dest="store_command", required=True)
     ps = store_sub.add_parser(
         "scrub",
@@ -1268,7 +1268,7 @@ def cmd_serve(args) -> int:
     from .serve.server import run_server
 
     root = _cache_root(args)
-    daemon = ServeDaemon(store=ResultStore(root, background=True),
+    daemon = ServeDaemon(store=ResultStore(root),
                          runners=args.runners, default_jobs=args.jobs,
                          retries=args.retries,
                          max_queue=args.max_queue,

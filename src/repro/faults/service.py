@@ -18,7 +18,7 @@ inject above the simulator:
 * **mid-stream connection resets** — the HTTP front end hard-aborts
   (RST) the progress-event stream after a flushed batch, exercising
   the client's ``since``-cursor resume;
-* **store byte corruption** — a seeded byte in a live segment and in a
+* **store byte corruption** — a seeded byte in the record log and in a
   ``.rlog`` sidecar is zeroed, exercising ``repro store scrub``
   detection and ``--repair`` quarantine;
 * **pool worker SIGKILL** — a live HTTP daemon takes two suites from
@@ -230,18 +230,18 @@ def _drop(fh: Any) -> None:
 
 
 def _abandon_store(store: Any) -> None:
-    """The store half of ``kill -9``: drop the crash hook and the WAL
+    """The store half of ``kill -9``: drop the crash hook and the log
     handle, losing whatever was never flushed (the idiom the store's
     own crash-property tests use)."""
     store._crash_hook = None
-    if store._wal_fh is not None:
-        _drop(store._wal_fh)
-        store._wal_fh = None
+    if store._fh is not None:
+        _drop(store._fh)
+        store._fh = None
 
 
 def _abandon_daemon(daemon: ServeDaemon) -> int:
     """Abandon a daemon as a hard kill would: no drain, no snapshot,
-    no store flush — just every file handle dropped mid-state.
+    no store close — just every file handle dropped mid-state.
 
     Returns how many journal entries the daemon had reported written
     that the file lost.  A kill keeps every byte that reached the OS,
@@ -404,7 +404,7 @@ def _run_boundary_cell(
     # ---- phase 1: first daemon, killed at (or en route to) the target
     acked = False
     task_id: str | None = None
-    store = ResultStore(serve_root, background=False)
+    store = ResultStore(serve_root)
     daemon: ServeDaemon | None
     try:
         daemon = ServeDaemon(store=store, runners=1, default_jobs=1,
@@ -439,7 +439,7 @@ def _run_boundary_cell(
     final: ServeDaemon | None = None
     for _ in range(4):
         hook = None if target_hook.died else target_hook
-        store = ResultStore(serve_root, background=False)
+        store = ResultStore(serve_root)
         try:
             candidate = ServeDaemon(store=store, runners=1,
                                     default_jobs=1,
@@ -515,7 +515,7 @@ def _run_boundary_cell(
     # restart+close must not change one byte on disk)
     final.close()
     before = _disk_state(serve_root)
-    store = ResultStore(serve_root, background=False)
+    store = ResultStore(serve_root)
     ServeDaemon(store=store, runners=1, default_jobs=1).close()
     after = _disk_state(serve_root)
     if before != after:
@@ -583,10 +583,10 @@ def _run_stream_cell(plan: ServiceChaosPlan, doc: dict) -> DrillCell:
 
 def _run_scrub_cell(plan: ServiceChaosPlan, workdir: Path,
                     doc: dict) -> DrillCell:
-    """Corrupt seeded bytes in a segment and a sidecar; scrub must
+    """Corrupt seeded bytes in the record log and a sidecar; scrub must
     detect both, ``--repair`` must quarantine/amputate, and a follow-up
     scrub must come back clean."""
-    from ..campaign.store import scrub_files
+    from ..campaign.store import ResultStore, scrub_files
 
     name = "scrub-detects-corruption"
     root = workdir / "scrub"
@@ -600,13 +600,13 @@ def _run_scrub_cell(plan: ServiceChaosPlan, workdir: Path,
             data[offset] = 0x00 if data[offset] != 0x00 else 0x01
         path.write_bytes(bytes(data))
 
-    segments = sorted(root.glob("seg-*.jsonl"))
+    log = root / ResultStore.LOG
     sidecars = sorted((root / "replay").glob("*.rlog"))
-    if not segments or not sidecars:
+    if not log.exists() or not sidecars:
         return DrillCell(name=name, ok=False,
-                         detail="baseline store has no segment or "
+                         detail="baseline store has no record log or "
                                 "sidecar to corrupt")
-    corrupt(segments[0])
+    corrupt(log)
     corrupt(sidecars[0])
     first = scrub_files(root)
     if first["clean"]:
@@ -642,7 +642,7 @@ def _run_worker_kill_cell(workdir: Path) -> DrillCell:
     keys, serial_records, serial_rlogs = _serial_baseline(
         workdir / name / "serial", WORKER_KILL_SUBMISSIONS)
     serve_root = workdir / name / "serve"
-    daemon = ServeDaemon(store=ResultStore(serve_root, background=True),
+    daemon = ServeDaemon(store=ResultStore(serve_root),
                          runners=2)
     server = BackgroundServer(daemon)
     stop = threading.Event()

@@ -8,7 +8,7 @@ concurrent clients, a small pool of runner threads drains them through
 the existing dependency-aware :class:`~repro.campaign.scheduler.
 CampaignRunner` (process workers underneath, same retry/timeout/
 pool-rebuild machinery as the CLI), and every result lands in one
-shared LSM-shaped :class:`~repro.campaign.store.ResultStore` — so an
+shared :class:`~repro.campaign.store.ResultStore` — so an
 HTTP-submitted job is byte-identical to, and shares cache slots with,
 the serial ``repro campaign`` command.
 

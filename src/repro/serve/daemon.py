@@ -2,12 +2,11 @@
 
 :class:`ServeDaemon` owns the shared pieces of profiling-as-a-service:
 
-* **one result store** — an LSM :class:`~repro.campaign.store.
-  ResultStore` opened with ``background=True`` (flushes and compactions
-  run on the store's worker thread, never on a request path).  Every
-  submitted campaign reads and writes the same store, so concurrent
-  clients deduplicate work exactly like serial CLI runs sharing a cache
-  directory.
+* **one result store** — a :class:`~repro.campaign.store.ResultStore`,
+  one append-only record log shared by every request and runner
+  thread.  Every submitted campaign reads and writes the same store,
+  so concurrent clients deduplicate work exactly like serial CLI runs
+  sharing a cache directory.
 * **a crash-safe task journal** — every accepted submission and every
   state transition (``accepted → running(lease) → publishing →
   done | failed``) is appended to a
@@ -40,7 +39,8 @@
 * **observability** — request counters, queue-depth/lease/breaker
   gauges live in a ``repro.obs``
   :class:`~repro.obs.metrics.MetricsRegistry`; the store contributes
-  its WAL/level/refcount vitals via ``export_metrics``.
+  its record, log-size, hit/miss and compaction counts via
+  ``export_metrics``.
 
 Determinism note (the paper's observation boundary): a job executes in
 a worker process seeded entirely from its JobSpec, whether the spec
@@ -137,7 +137,7 @@ class ServeDaemon:
         else:
             root = (store_root or os.environ.get("REPRO_CACHE_DIR")
                     or ".repro-cache")
-            self.store = ResultStore(root, background=True)
+            self.store = ResultStore(root)
         self.metrics = MetricsRegistry()
         self.default_jobs = max(1, default_jobs)
         self.retries = retries
@@ -255,7 +255,7 @@ class ServeDaemon:
             self._settle(task, "failed", error=error)
             _log.error(f"campaign {task.id} failed: {error}")
             return
-        # results are WAL-durable in the store; the journal just
+        # results are durable in the store's log; the journal just
         # hasn't said "done" yet — a crash in this window re-runs the
         # campaign as pure cache hits
         self.registry.transition(task, "publishing")

@@ -56,7 +56,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
-from ..campaign.durable import decode, frame, fsync, read, repair_tail, scan
+from ..campaign.durable import (
+    decode,
+    frame,
+    fsync,
+    read,
+    repair_tail,
+    rewrite,
+    scan,
+)
 
 #: the journaled lifecycle, in order (terminal states last)
 TASK_STATES = ("accepted", "running", "publishing", "done", "failed")
@@ -310,8 +318,9 @@ class TaskJournal:
         byte-for-byte idempotent — the restart-is-a-no-op invariant the
         chaos drill asserts.
 
-        The rewrite is atomic (tmp + fsync + rename): a crash inside it
-        leaves either the old journal or the new one, never a mix.
+        The rewrite is :func:`~repro.campaign.durable.rewrite` (temp
+        file, fsync, rename, directory fsync): a crash inside it leaves
+        either the old journal or the new one, never a mix.
         """
         entries: list[tuple[str, dict]] = []
         for rec in state.records.values():
@@ -323,16 +332,12 @@ class TaskJournal:
         lines = [frame({"seq": seq, "type": kind, **fields})
                  for seq, (kind, fields) in enumerate(entries, 1)]
         seq = len(lines)
-        tmp = self.path.with_suffix(".tmp")
         with self._io:
             self._crash("journal-snapshot")
-            with tmp.open("wb") as fh:
-                fh.write(b"".join(lines))
-                fsync(fh)
+            rewrite(self.path, b"".join(lines))
             if self._fh is not None:
-                self._fh.close()
+                self._fh.close()  # the replaced file's handle
                 self._fh = None
-            tmp.replace(self.path)
             with self._mu:
                 self._next_seq = seq + 1
                 self._written_seq = self._durable_seq = seq

@@ -3,8 +3,7 @@
 One ``asyncio.start_server`` accept loop; each connection carries one
 request (``Connection: close``).  Handlers delegate to the
 :class:`~repro.serve.daemon.ServeDaemon` — whose calls are all short
-and lock-light (the LSM store's flushes and compactions run on its own
-background thread) — so the event loop never parks behind a simulation.
+and lock-light — so the event loop never parks behind a simulation.
 A submission runs on the loop's default executor instead: its journal
 fsync would otherwise stall every open event stream.
 

@@ -228,15 +228,24 @@ class TestCheckCommand:
         assert "predicts 'capacity' aborts" in out
         assert "documented findings" in out
 
-    def test_incremental_closes_its_store(self, tmp_path):
-        # a closed store has flushed its memtable into a segment; an
-        # unclosed one leaves only the manifest and the write-ahead log
+    def test_incremental_closes_its_store(self, tmp_path, monkeypatch):
+        from repro.campaign import store as store_mod
+
+        closed: list[str] = []
+        real_close = store_mod.ResultStore.close
+
+        def spy(self):
+            closed.append(str(self.root))
+            real_close(self)
+
+        monkeypatch.setattr(store_mod.ResultStore, "close", spy)
         cache = tmp_path / "df-cache"
         rc, _ = run_cli("-q", "check", "micro_low_abort", "micro_high_abort",
                         "--static-only", "--incremental", "--cache-dir",
                         str(cache), "--threads", "4", "--scale", "0.25")
         assert rc == 0
-        assert list(cache.glob("seg-*.jsonl"))
+        assert str(cache) in closed
+        assert (cache / store_mod.ResultStore.LOG).exists()
 
     def test_incremental_cache_line_honours_quiet(self, tmp_path, capsys):
         args = ["check", "micro_low_abort", "--static-only",
@@ -489,7 +498,7 @@ class TestStoreScrubCommand:
         from repro.campaign.store import ResultStore
 
         root = tmp_path / "cache"
-        store = ResultStore(root, background=False)
+        store = ResultStore(root)
         store.put("key-1", {"n": 1})
         store.close()
         return root
@@ -502,8 +511,10 @@ class TestStoreScrubCommand:
 
     def test_damaged_store_exits_one_then_repairs(self, tmp_path,
                                                   capsys):
+        from repro.campaign.store import ResultStore
+
         root = self._store(tmp_path)
-        wal = sorted(root.glob("wal-*.log"))[0]
+        wal = root / ResultStore.LOG
         wal.write_bytes(wal.read_bytes() + b'{"torn')
         assert main(["store", "scrub", "--cache-dir", str(root)]) == 1
         assert "rerun with --repair" in capsys.readouterr().err
@@ -537,12 +548,15 @@ class TestCampaignClosesItsStore:
 
         root = tmp_path / "cache"
         assert main([*self.ARGV, "--cache-dir", str(root)]) == 0
-        store = ResultStore(root, background=False)
+        # one framed log and the sidecars: no legacy file to replay
+        names = {p.name for p in root.iterdir()}
+        assert ResultStore.LOG in names
+        assert names <= {ResultStore.LOG, ResultStore.REPLAY_DIR}
+        store = ResultStore(root)
         try:
             stats = store.stats()
-            assert stats["segments"] >= 1
+            assert stats["log_bytes"] > 0
             assert stats["records"] >= 3
-            assert stats["memtable_records"] == 0  # no WAL replayed
         finally:
             store.close()
 

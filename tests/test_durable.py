@@ -1,8 +1,8 @@
 """Crash properties of the durable line format, written once.
 
 :mod:`repro.campaign.durable` is the one encoder, decoder, scanner, tail
-repair and damage classifier under the result store's MANIFEST, WAL and
-segments and the serve task journal, all CRC-framed.  The store and
+repair, damage classifier and atomic rewriter under the result store's
+record log and the serve task journal, both CRC-framed.  The store and
 journal tests exercise it through their owners; this file states the
 properties of the module itself, for frames and for the unframed JSON
 lines older stores wrote:
@@ -299,3 +299,38 @@ def test_repair_tail_fsyncs_whenever_it_changes_the_file(tmp_path,
     repair_tail(path, 8)  # unterminated last record
     assert synced[-1] == b'{"a": 1}\n'
     assert len(synced) == 2
+
+
+def test_rewrite_is_durable_before_and_after_the_rename(tmp_path,
+                                                       monkeypatch):
+    """The temp file is fsynced before the rename and the directory
+    after it, so the rename itself survives a power loss."""
+    events: list[str] = []
+    real_fsync = durable.os.fsync
+
+    def spy_fsync(fd):
+        events.append("dir-fsync" if durable.os.path.isdir(
+            f"/proc/self/fd/{fd}") else "file-fsync")
+        real_fsync(fd)
+
+    monkeypatch.setattr(durable.os, "fsync", spy_fsync)
+    path = tmp_path / "log"
+    path.write_bytes(b"old\n")
+    durable.rewrite(path, b"new\n", lambda: events.append("rename"))
+    assert events == ["file-fsync", "rename", "dir-fsync"]
+    assert path.read_bytes() == b"new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log"]
+
+
+def test_rewrite_interrupted_before_the_rename_keeps_the_old_file(
+        tmp_path):
+    path = tmp_path / "log"
+    path.write_bytes(b"old\n")
+
+    def die() -> None:
+        raise RuntimeError("killed")
+
+    with pytest.raises(RuntimeError):
+        durable.rewrite(path, b"new\n", die)
+    assert path.read_bytes() == b"old\n"
+    assert (tmp_path / f"log{durable.TMP_SUFFIX}").read_bytes() == b"new\n"

@@ -62,7 +62,7 @@ def test_a_campaign_costs_two_fsyncs(tmp_path):
     """``accepted`` and ``done`` are fsynced; ``running`` and
     ``publishing`` ride along without a sync of their own."""
     n = 3
-    daemon = ServeDaemon(store=ResultStore(tmp_path, background=False),
+    daemon = ServeDaemon(store=ResultStore(tmp_path),
                          runners=1, default_jobs=1)
     try:
         for _ in range(n):
@@ -240,3 +240,28 @@ def test_group_commit_under_contention_loses_and_overstates_nothing(
     assert stats["appended"] == total
     assert 1 <= stats["fsyncs"] <= total // 2
     journal.close()
+
+
+def test_snapshot_rename_is_made_durable(tmp_path, monkeypatch):
+    """The snapshot goes through ``durable.rewrite``: the new journal
+    is fsynced, renamed into place, and the directory fsynced."""
+    from repro.campaign import durable
+
+    path = tmp_path / TaskJournal.NAME
+    journal = TaskJournal(path)
+    journal.recover()
+    for entry_type, fields in LIFECYCLE["done"]:
+        journal.append(entry_type, **fields)
+    synced: list[bool] = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        synced.append(os.path.isdir(f"/proc/self/fd/{fd}"))
+        real_fsync(fd)
+
+    monkeypatch.setattr(durable.os, "fsync", spy)
+    journal.snapshot(TaskJournal(path).recover())
+    journal.close()
+    assert synced == [False, True]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [TaskJournal.NAME]
+    assert TaskJournal(path).recover().records["c-000001"].state == "done"

@@ -422,8 +422,8 @@ class TestDaemon:
 
     def test_stats_take_one_store_snapshot(self, tmp_path):
         """``/v1/stats`` exports the store's metrics from the snapshot
-        it reports, instead of walking every segment a second time."""
-        store = ResultStore(tmp_path / "store", background=False)
+        it reports, instead of taking a second one."""
+        store = ResultStore(tmp_path / "store")
         daemon = ServeDaemon(store=store, runners=1)
         calls = []
         real = store.stats
@@ -459,7 +459,7 @@ def live(tmp_path_factory):
     """One daemon + server + client for every live test (module scope —
     campaigns submitted by one test stay visible to later ones)."""
     root = tmp_path_factory.mktemp("serve-store")
-    daemon = ServeDaemon(store=ResultStore(root, background=True),
+    daemon = ServeDaemon(store=ResultStore(root),
                          runners=2)
     server = BackgroundServer(daemon)
     port = server.start()

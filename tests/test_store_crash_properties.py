@@ -1,20 +1,22 @@
-"""Crash-recovery properties for the LSM result store.
+"""Crash-recovery properties for the result store's record log.
 
 Two failure models, both asserted against one durability contract:
 
 * **CrashPoint injection** — the store's ``crash_hook`` fires at each
-  named durability boundary (WAL append, segment write, manifest
-  append, WAL drop, compaction write/manifest/drop).  Hypothesis picks
-  an operation sequence and which boundary crossing dies.
+  named durability boundary (the log append, the compaction's temp
+  write and its rename, and the unlink of a legacy store's files once
+  it is folded into the log).  Hypothesis picks an operation sequence,
+  whether it starts from a legacy store, and which boundary crossing
+  dies.
 * **Torn tail** — after a simulated ``kill -9``, the final unsynced
-  append may land partially; we truncate the live WAL at an arbitrary
+  append may land partially; we truncate the log at an arbitrary
   byte offset inside the last record.
 
 The contract, in both models:
 
 1. **No acknowledged write is lost.**  A ``put`` that returned maps to
    exactly its last acknowledged value after recovery.  A ``put`` that
-   crashed mid-flight recovers to either its value (the WAL append
+   crashed mid-flight recovers to either its value (the log append
    completed) or the previous one (it did not) — never garbage.
 2. **Recovery is idempotent.**  Opening the damaged directory twice
    yields the same contents, and the second open must not rewrite
@@ -25,6 +27,7 @@ The contract, in both models:
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -34,30 +37,57 @@ from repro.campaign.store import CrashPoint, ResultStore
 
 #: every named durability boundary the store can die at
 BOUNDARIES = (
-    "wal-append",
-    "flush-segment",
-    "flush-manifest",
-    "flush-wal-drop",
-    "compact-segment",
-    "compact-manifest",
-    "compact-drop",
+    "log-append",
+    "compact-write",
+    "compact-rename",
+    "legacy-unlink",
 )
-
-#: tiny thresholds so a handful of puts exercises rotation, flush and
-#: leveled compaction inline
-TINY_STORE = dict(segment_bytes=96, level_trigger=2, max_level=2)
 
 _keys = st.sampled_from(["alpha", "beta", "gamma", "delta", "epsilon"])
 _puts = st.lists(st.tuples(_keys, st.integers(0, 999)),
                  min_size=1, max_size=14)
 
+#: the records of :func:`_legacy_store`, in the acked-value shape
+LEGACY = {"alpha": 7, "beta": 8, "zeta": 9}
 
-def _abandon(store: ResultStore) -> None:
-    """Drop a crashed store without flushing (its process 'died')."""
+
+def _legacy_store(root: Path) -> dict[str, int]:
+    """A store in the earlier LSM layout: a MANIFEST, a segment and a
+    WAL that supersedes one of its records.  Returns what it holds."""
+    def lines(*docs: dict) -> str:
+        return "".join(json.dumps(d, sort_keys=True) + "\n" for d in docs)
+
+    (root / "seg-00000001.jsonl").write_text(lines(
+        {"seq": 1, "key": "alpha", "record": {"n": 1}},
+        {"seq": 2, "key": "beta", "record": {"n": 8}}))
+    (root / "wal-00000002.log").write_text(lines(
+        {"seq": 3, "key": "zeta", "record": {"n": 9}},
+        {"seq": 4, "key": "alpha", "record": {"n": 7}}))
+    (root / "MANIFEST").write_text(lines(
+        {"level": 0, "op": "add", "segment": "seg-00000001.jsonl"},
+        {"op": "wal", "wal": "wal-00000002.log"}))
+    return dict(LEGACY)
+
+
+def _open(root: Path, hook: object, legacy: bool) -> tuple[
+        ResultStore | None, dict[str, int]]:
+    """Open a store (over a legacy one when ``legacy``); None when the
+    hook killed the open.  Also returns the writes already durable."""
+    acked = _legacy_store(root) if legacy else {}
+    try:
+        return ResultStore(root, crash_hook=hook), acked
+    except CrashPoint:
+        return None, acked
+
+
+def _abandon(store: ResultStore | None) -> None:
+    """Drop a crashed store without closing it (its process 'died')."""
+    if store is None:
+        return
     store._crash_hook = None
-    if store._wal_fh is not None:
-        store._wal_fh.close()
-        store._wal_fh = None
+    if store._fh is not None:
+        store._fh.close()
+        store._fh = None
 
 
 def _contents(root: Path) -> dict[str, dict]:
@@ -93,16 +123,17 @@ class _CrashAt:
 
 class TestCrashPointInjection:
     @given(puts=_puts, nth=st.integers(min_value=1, max_value=30),
-           compact_after=st.booleans())
+           compact_after=st.booleans(), legacy=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_no_acknowledged_write_lost(self, tmp_path_factory, puts,
-                                        nth, compact_after):
+                                        nth, compact_after, legacy):
         root = tmp_path_factory.mktemp("crash")
         hook = _CrashAt(nth)
-        store = ResultStore(root, crash_hook=hook, **TINY_STORE)
-        acked: dict[str, int] = {}
+        store, acked = _open(root, hook, legacy)
         in_flight: tuple[str, int] | None = None
         try:
+            if store is None:
+                raise CrashPoint("open")
             for key, n in puts:
                 in_flight = (key, n)
                 store.put(key, {"n": n})
@@ -117,7 +148,7 @@ class TestCrashPointInjection:
         recovered = _contents(root)
         for key, n in acked.items():
             if in_flight is not None and in_flight[0] == key:
-                # the crashed put targeted this key: its WAL append
+                # the crashed put targeted this key: its log append
                 # either completed (new value) or never started (old)
                 assert recovered.get(key, {}).get("n") in \
                     (n, in_flight[1]), \
@@ -126,14 +157,18 @@ class TestCrashPointInjection:
                 assert recovered.get(key, {}).get("n") == n, \
                     f"acked write to {key} lost at {hook.died_at}"
         # nothing invents keys that were never written
-        assert set(recovered) <= {key for key, _ in puts}
+        assert set(recovered) <= {key for key, _ in puts} | set(acked)
 
-    @given(puts=_puts, nth=st.integers(min_value=1, max_value=30))
+    @given(puts=_puts, nth=st.integers(min_value=1, max_value=30),
+           legacy=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_recovery_is_idempotent(self, tmp_path_factory, puts, nth):
+    def test_recovery_is_idempotent(self, tmp_path_factory, puts, nth,
+                                    legacy):
         root = tmp_path_factory.mktemp("idem")
-        store = ResultStore(root, crash_hook=_CrashAt(nth), **TINY_STORE)
+        store, _ = _open(root, _CrashAt(nth), legacy)
         try:
+            if store is None:
+                raise CrashPoint("open")
             for key, n in puts:
                 store.put(key, {"n": n})
             store.compact()
@@ -149,20 +184,23 @@ class TestCrashPointInjection:
         # must not keep rewriting files
         assert _disk_state(root) == disk_after_first
 
-    @given(puts=_puts, nth=st.integers(min_value=1, max_value=30))
+    @given(puts=_puts, nth=st.integers(min_value=1, max_value=30),
+           legacy=st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_store_stays_writable_after_recovery(self, tmp_path_factory,
-                                                 puts, nth):
+                                                 puts, nth, legacy):
         root = tmp_path_factory.mktemp("writable")
-        store = ResultStore(root, crash_hook=_CrashAt(nth), **TINY_STORE)
+        store, _ = _open(root, _CrashAt(nth), legacy)
         try:
+            if store is None:
+                raise CrashPoint("open")
             for key, n in puts:
                 store.put(key, {"n": n})
         except CrashPoint:
             pass
         _abandon(store)
 
-        repaired = ResultStore(root, **TINY_STORE)
+        repaired = ResultStore(root)
         repaired.put("fresh", {"n": -1})
         repaired.put(puts[0][0], {"n": 12345})  # overwrite post-crash
         repaired.compact()
@@ -185,10 +223,12 @@ class TestCrashPointInjection:
                     self.armed = False
                     raise CrashPoint(step)
 
-        store = ResultStore(tmp_path, crash_hook=DieAt(), **TINY_STORE)
-        acked = {}
+        # a legacy store to fold, so the upgrade's boundaries are crossed
+        store, acked = _open(tmp_path, DieAt(), legacy=True)
         in_flight = None
         try:
+            if store is None:
+                raise CrashPoint("open")
             for n in range(10):
                 in_flight = (f"k{n % 4}", n)
                 store.put(f"k{n % 4}", {"n": n})
@@ -212,25 +252,34 @@ class TestTornTail:
     @given(puts=_puts, torn=st.integers(min_value=0, max_value=200))
     @settings(max_examples=40, deadline=None)
     def test_torn_final_append(self, tmp_path_factory, puts, torn):
-        """kill -9 at an arbitrary byte offset inside the final WAL
+        """kill -9 at an arbitrary byte offset inside the final log
         append: every earlier write survives exactly; the final one is
         either intact or cleanly absent."""
         root = tmp_path_factory.mktemp("torn")
-        # big segment_bytes: everything stays in one WAL, so the byte
-        # math below addresses the final record unambiguously
         store = ResultStore(root)
-        for key, n in puts:
+        for key, n in puts[:-1]:
             store.put(key, {"n": n})
-        assert store._wal is not None
-        wal = root / store._wal
+        wal = root / ResultStore.LOG
+        before = len(wal.read_bytes()) if wal.exists() else 0
+
+        def die(step: str) -> None:
+            if step == "compact-write":
+                raise CrashPoint(step)
+
+        # the kill lands inside the final append, so no compaction the
+        # append would have triggered ever runs
+        last_key, last_n = puts[-1]
+        store._crash_hook = die
+        try:
+            store.put(last_key, {"n": last_n})
+        except CrashPoint:
+            pass
         _abandon(store)
 
-        last_key, last_n = puts[-1]
         # tear only within the final append: anything before it was
         # fsync-acknowledged and may not be touched by a kill -9
         blob = wal.read_bytes()
-        body = blob.rstrip(b"\n")
-        final_line_bytes = len(body) - (body.rfind(b"\n") + 1) + 1
+        final_line_bytes = len(blob) - before
         cut = min(torn, final_line_bytes)
         if cut:
             with wal.open("rb+") as fh:
@@ -254,17 +303,17 @@ class TestTornTail:
     @settings(max_examples=30, deadline=None)
     def test_torn_unmanifested_segment(self, tmp_path_factory, puts,
                                        cut):
-        """A flush that died after writing its segment but before the
-        manifest add leaves an orphan file; tearing that orphan at any
-        offset must not cost a single acknowledged write (they are all
-        still WAL-covered)."""
+        """A compaction that died after writing its temp file but
+        before the rename leaves that file beside the log; tearing it
+        at any offset must not cost a single acknowledged write (the
+        log still holds them all)."""
         root = tmp_path_factory.mktemp("orphan")
 
         def die(step: str) -> None:
-            if step == "flush-manifest":
+            if step == "compact-rename":
                 raise CrashPoint(step)
 
-        store = ResultStore(root, crash_hook=die, **TINY_STORE)
+        store = ResultStore(root, crash_hook=die)
         acked: dict[str, int] = {}
         in_flight = None
         try:
@@ -273,16 +322,16 @@ class TestTornTail:
                 store.put(key, {"n": n})
                 acked[key] = n
                 in_flight = None
-            store.flush()
+            store.compact()
         except CrashPoint:
             pass
         _abandon(store)
 
-        orphans = [p for p in root.glob("seg-*.jsonl")]
-        for orphan in orphans:
-            size = orphan.stat().st_size
-            with orphan.open("rb+") as fh:
-                fh.truncate(max(0, size - cut))
+        orphan = root / (ResultStore.LOG + ".tmp")
+        assert orphan.exists()
+        size = orphan.stat().st_size
+        with orphan.open("rb+") as fh:
+            fh.truncate(max(0, size - cut))
 
         recovered = _contents(root)
         for key, n in acked.items():
@@ -290,4 +339,4 @@ class TestTornTail:
             want = (n, in_flight[1]) if in_flight \
                 and in_flight[0] == key else (n,)
             assert got in want, \
-                f"acked write {key} lost to a torn orphan segment"
+                f"acked write {key} lost to a torn compaction temp file"

@@ -1,14 +1,16 @@
 """Every line the result store writes is a CRC frame of
 :mod:`repro.campaign.durable`.
 
-* **Byte flips** — one changed byte anywhere in the MANIFEST, a WAL or a
-  segment, of a flushed or an unflushed store.  Before open, recovery
-  must cut the damaged line off, so :meth:`ResultStore.fetch` never
-  returns a value that was never put.  After open, ``fetch`` returns
-  the put value or raises :class:`StoreError`.
-* **Upgrade** — a store of unframed (legacy) JSON lines still opens
-  with every record intact; new appends land framed in the same files,
-  and a full compaction leaves no unframed line behind.
+* **Byte flips** — one changed byte anywhere in the record log of a
+  closed store (flushed) or of one dropped without a close (unflushed).
+  Before open, recovery must cut the damaged line off, so
+  :meth:`ResultStore.fetch` never returns a value that was never put.
+  After open, ``fetch`` returns the put value or raises
+  :class:`StoreError`.
+* **Upgrade** — a legacy store in the earlier LSM layout (MANIFEST,
+  WALs, segments; framed or unframed lines) opens with every record
+  intact, folded into one log of framed lines, and its legacy files
+  are gone.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.campaign.durable import decode, scan
-from repro.campaign.store import ResultStore, StoreError
+from repro.campaign.durable import decode, frame, scan
+from repro.campaign.store import CrashPoint, ResultStore, StoreError
 
 _keys = st.sampled_from(["alpha", "beta", "gamma", "delta"])
 _values = st.sampled_from(["alpha", "beta", "gamma", "delta", "epsilon"])
@@ -28,16 +30,17 @@ _puts = st.lists(st.tuples(_keys, _values), min_size=1, max_size=6)
 
 
 def _line_files(root: Path) -> list[str]:
-    """The non-empty MANIFEST, WALs and segments."""
-    return sorted(p.name for p in root.iterdir() if p.stat().st_size
-                  and (p.name == ResultStore.MANIFEST
+    """The non-empty line files: the log and any legacy file."""
+    return sorted(p.name for p in root.iterdir() if p.is_file()
+                  and p.stat().st_size
+                  and (p.name == "MANIFEST"
                        or p.suffix in (".log", ".jsonl")))
 
 
 def _written(root: Path, puts: list[tuple[str, str]], flushed: bool) -> dict:
-    """Put ``puts``; close the store (flushed) or drop it with its
-    records only in the WAL (unflushed).  Returns every value put per
-    key, oldest first."""
+    """Put ``puts``; close the store (flushed) or drop its handle
+    without a close (unflushed).  Returns every value put per key,
+    oldest first."""
     store = ResultStore(root)
     history: dict[str, list[dict]] = {}
     for key, value in puts:
@@ -45,9 +48,8 @@ def _written(root: Path, puts: list[tuple[str, str]], flushed: bool) -> dict:
         history.setdefault(key, []).append({"v": value})
     if flushed:
         store.close()
-    else:
-        assert store._wal_fh is not None
-        store._wal_fh.close()
+    elif store._fh is not None:
+        store._fh.close()
     return history
 
 
@@ -99,13 +101,13 @@ def test_flip_after_open_serves_the_value_or_raises(
             assert got == values[-1], (key, got)
     finally:
         store._crash_hook = None
-        if store._wal_fh is not None:
-            store._wal_fh.close()
-            store._wal_fh = None
+        if store._fh is not None:
+            store._fh.close()
+            store._fh = None
 
 
 # ---------------------------------------------------------------------------
-# upgrade from unframed lines
+# upgrade from the legacy LSM layout
 # ---------------------------------------------------------------------------
 
 
@@ -113,24 +115,47 @@ def _legacy(*entries: dict) -> str:
     return "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries)
 
 
+def _framed_lines(*entries: dict) -> str:
+    return "".join(frame(e).decode() for e in entries)
+
+
 def _legacy_store(root: Path) -> dict[str, dict]:
-    """A store as it was written before lines carried a CRC: a level-0
-    segment, a WAL that supersedes one of its keys, and the ledger."""
+    """A store as the earlier LSM layout left it, built by hand:
+
+    * a MANIFEST with ``add``/``drop``/``wal``/``wal-drop`` entries;
+    * two levels — an L1 segment from a compaction and an L0 segment
+      from a later flush;
+    * a dropped segment (the compaction's input) that was never
+      unlinked;
+    * an undropped WAL still holding the newest writes;
+    * one unframed legacy line (in the oldest segment).
+
+    Returns every key's current record."""
     root.mkdir()
-    seg, old_wal, wal = "seg-00000001.jsonl", "wal-00000001.log", \
-        "wal-00000002.log"
-    (root / seg).write_text(_legacy(
+    (root / "seg-00000001.jsonl").write_text(_legacy(
+        {"seq": 1, "key": "aa", "record": {"v": 1}}) + _framed_lines(
+        {"seq": 2, "key": "zz", "record": {"v": [2, "two"]}}))
+    (root / "seg-00000002.jsonl").write_text(_framed_lines(
         {"seq": 1, "key": "aa", "record": {"v": 1}},
         {"seq": 2, "key": "zz", "record": {"v": [2, "two"]}}))
-    (root / wal).write_text(_legacy(
-        {"seq": 3, "key": "mm", "record": {"v": {"three": 3}}},
-        {"seq": 4, "key": "aa", "record": {"v": 4}}))
-    (root / ResultStore.MANIFEST).write_text(_legacy(
-        {"op": "wal", "wal": old_wal},
-        {"level": 0, "op": "add", "segment": seg},
-        {"op": "wal-drop", "wal": old_wal},
-        {"op": "wal", "wal": wal}))
-    return {"aa": {"v": 4}, "zz": {"v": [2, "two"]}, "mm": {"v": {"three": 3}}}
+    (root / "seg-00000003.jsonl").write_text(_framed_lines(
+        {"seq": 3, "key": "bb", "record": {"v": "three"}},
+        {"seq": 4, "key": "zz", "record": {"v": 4}}))
+    (root / "wal-00000003.log").write_text(_framed_lines(
+        {"seq": 5, "key": "mm", "record": {"v": {"five": 5}}},
+        {"seq": 6, "key": "aa", "record": {"v": 6}}))
+    (root / "MANIFEST").write_text(_framed_lines(
+        {"op": "wal", "wal": "wal-00000001.log"},
+        {"level": 0, "op": "add", "segment": "seg-00000001.jsonl"},
+        {"op": "wal-drop", "wal": "wal-00000001.log"},
+        {"level": 1, "op": "add", "segment": "seg-00000002.jsonl"},
+        {"op": "drop", "segment": "seg-00000001.jsonl"},
+        {"op": "wal", "wal": "wal-00000002.log"},
+        {"level": 0, "op": "add", "segment": "seg-00000003.jsonl"},
+        {"op": "wal-drop", "wal": "wal-00000002.log"},
+        {"op": "wal", "wal": "wal-00000003.log"}))
+    return {"aa": {"v": 6}, "bb": {"v": "three"}, "mm": {"v": {"five": 5}},
+            "zz": {"v": 4}}
 
 
 def _framed(line: bytes) -> bool:
@@ -141,68 +166,82 @@ def _lines(path: Path) -> list[bytes]:
     return [line for line in path.read_bytes().splitlines() if line.strip()]
 
 
+def _records(store: ResultStore) -> dict[str, dict | None]:
+    return {key: store.fetch(key) for key in store.keys()}
+
+
+def _only_the_new_layout(root: Path) -> None:
+    assert sorted(p.name for p in root.iterdir()) == [ResultStore.LOG]
+    assert all(_framed(line) for line in _lines(root / ResultStore.LOG))
+
+
 def test_legacy_store_opens_and_upgrades_on_the_write_paths(tmp_path):
     root = tmp_path / "s"
     expected = _legacy_store(root)
     store = ResultStore(root)
-    assert {key: store.fetch(key) for key in store.keys()} == expected
+    assert _records(store) == expected
+    _only_the_new_layout(root)
 
-    # new puts land framed in the very WAL that holds the legacy lines
+    # new puts append framed lines to the folded log
     store.put("nn", {"v": "new"})
     expected["nn"] = {"v": "new"}
-    wal = _lines(root / "wal-00000002.log")
-    assert [_framed(line) for line in wal] == [False, False, True]
-    assert scan((root / "wal-00000002.log").read_bytes(),
+    assert scan((root / ResultStore.LOG).read_bytes(),
                 decode).entries[-1]["record"] == {"v": "new"}
     store.close()
 
     again = ResultStore(root)
-    assert {key: again.fetch(key) for key in again.keys()} == expected
+    assert _records(again) == expected
     again.compact()
-    assert {key: again.fetch(key) for key in again.keys()} == expected
+    assert _records(again) == expected
     again.close()
-    for name in _line_files(root):
-        assert all(_framed(line) for line in _lines(root / name)), name
+    _only_the_new_layout(root)
 
-    third = ResultStore(root)
-    assert {key: third.fetch(key) for key in third.keys()} == expected
-    third.close()
+
+@pytest.mark.parametrize("boundary",
+                         ["compact-write", "compact-rename", "legacy-unlink"])
+def test_a_crash_at_each_upgrade_boundary_gives_the_same_records(
+        tmp_path, boundary):
+    root = tmp_path / "s"
+    expected = _legacy_store(root)
+
+    def die(step: str) -> None:
+        if step == boundary:
+            raise CrashPoint(step)
+
+    with pytest.raises(CrashPoint):
+        ResultStore(root, crash_hook=die)
+    store = ResultStore(root)
+    assert _records(store) == expected
+    store.close()
+    (root / (ResultStore.LOG + ".tmp")).unlink(missing_ok=True)
+    _only_the_new_layout(root)
 
 
 def test_recovery_reframes_legacy_wal_lines_and_copies_frames(tmp_path):
-    """Flushing a recovered memtable writes every line framed, and a
-    line that already was a frame keeps its exact bytes."""
+    """The upgrade frames each unframed line, and a line that already
+    was a frame keeps its exact bytes."""
     root = tmp_path / "s"
-    expected = _legacy_store(root)
+    _legacy_store(root)
+    framed_wal = _lines(root / "wal-00000003.log")
     store = ResultStore(root)
-    store.put("nn", {"v": "new"})
-    framed_new = _lines(root / "wal-00000002.log")[-1]
-    assert store._wal_fh is not None
-    store._wal_fh.close()  # dropped unflushed: the WAL holds both kinds
-
-    again = ResultStore(root)
-    again.flush()
-    segments = sorted(root.glob("seg-*.jsonl"))
-    flushed = _lines(segments[-1])
-    assert all(_framed(line) for line in flushed)
-    assert framed_new in flushed
-    expected["nn"] = {"v": "new"}
-    assert {key: again.fetch(key) for key in again.keys()} == expected
-    again.close()
+    folded = _lines(root / ResultStore.LOG)
+    assert framed_wal[1] in folded  # aa@6: copied byte for byte
+    assert frame({"seq": 3, "key": "bb", "record": {"v": "three"}})[:-1] \
+        in folded
+    assert [scan(line, decode).entries[0]["key"] for line in folded] == \
+        ["aa", "bb", "mm", "zz"]
+    store.close()
 
 
 def test_compaction_keeps_segments_damaged_since_open(tmp_path):
-    """A line damaged after open stops its segment's fold; compaction
-    refuses rather than drop the records the fold never reached."""
-    store = ResultStore(tmp_path, background=False)
+    """A line damaged after open cannot be compacted; compaction
+    refuses rather than drop its record."""
+    store = ResultStore(tmp_path)
     try:
-        for key in ("aa", "bb", "cc"):
+        for key in ("aa", "bb", "cc", "dd"):
             store.put(key, {"v": key})
-        store.flush()
-        store.put("dd", {"v": "dd"})
-        store.flush()
-        segment = sorted(tmp_path.glob("seg-*.jsonl"))[0]
-        segment.write_bytes(segment.read_bytes().replace(b'"aa"', b'"ab"', 1))
+        log = tmp_path / ResultStore.LOG
+        log.write_bytes(log.read_bytes().replace(b'"aa"', b'"ab"', 1))
         with pytest.raises(StoreError, match="not compacting"):
             store.compact()
         with pytest.raises(StoreError, match="corrupt record"):

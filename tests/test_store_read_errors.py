@@ -1,4 +1,4 @@
-"""A damaged record line in a live segment surfaces as ``StoreError``.
+"""A damaged record line in a live store's log surfaces as ``StoreError``.
 
 The serve daemon reads results through :meth:`ResultStore.fetch`; any
 damage a read can meet must come out as the store's own error, never as
@@ -19,14 +19,13 @@ from repro.campaign.store import ResultStore, StoreError
     (b'{"v": "alpha"}', b'["v", "alpha"]'),  # record is no object
 ], ids=["invalid-utf8", "record-key-flipped", "not-an-object"])
 def test_damaged_line_raises_store_error(tmp_path, old, new):
-    store = ResultStore(tmp_path, background=False)
+    store = ResultStore(tmp_path)
     try:
         store.put("k1", {"v": "alpha"})
-        store.flush()
-        segment = sorted(tmp_path.glob("seg-*.jsonl"))[0]
-        data = segment.read_bytes()
+        log = tmp_path / ResultStore.LOG
+        data = log.read_bytes()
         assert old in data
-        segment.write_bytes(data.replace(old, new, 1))
+        log.write_bytes(data.replace(old, new, 1))
         with pytest.raises(StoreError, match="corrupt record"):
             store.fetch("k1")
     finally:

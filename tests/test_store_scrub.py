@@ -1,7 +1,7 @@
 """``repro store scrub`` — offline verification and repair.
 
 Builds small real stores, damages them in controlled ways (torn tails,
-mid-file bit rot, orphan segments, broken replay sidecars), and asserts
+mid-file bit rot, orphan temp files, broken replay sidecars), and asserts
 scrub classifies each correctly, that ``repair`` quarantines rather
 than deletes, and that the live store surfaces the last scrub in
 ``stats()``/metrics.
@@ -9,7 +9,6 @@ than deletes, and that the live store surfaces the last scrub in
 
 from __future__ import annotations
 
-import json
 import shutil
 from pathlib import Path
 
@@ -25,12 +24,10 @@ def _rlog(i: int) -> str:
     return writer.dumps()
 
 
-def _make_store(root: Path, n: int = 4, flush: bool = True) -> None:
-    store = ResultStore(root, background=False)
+def _make_store(root: Path, n: int = 4) -> None:
+    store = ResultStore(root)
     for i in range(n):
         store.put(f"key-{i}", {"n": i, "replay_log": _rlog(i)})
-    if flush:
-        store.flush()
     store.close()
 
 
@@ -48,7 +45,7 @@ class TestScrubClean:
 
     def test_live_store_caches_last_scrub(self, tmp_path):
         _make_store(tmp_path)
-        store = ResultStore(tmp_path, background=False)
+        store = ResultStore(tmp_path)
         try:
             assert store.stats()["scrub"] is None
             report = store.scrub()
@@ -65,8 +62,8 @@ class TestScrubClean:
 
 class TestScrubDamage:
     def test_torn_wal_tail_detected_and_amputated(self, tmp_path):
-        _make_store(tmp_path, flush=False)  # records stay in the WAL
-        wal = sorted(tmp_path.glob("wal-*.log"))[0]
+        _make_store(tmp_path)
+        wal = tmp_path / ResultStore.LOG
         intact = wal.read_bytes()
         wal.write_bytes(intact + b'{"half a rec')
 
@@ -81,7 +78,7 @@ class TestScrubDamage:
 
     def test_mid_file_corruption_classified_corrupt(self, tmp_path):
         _make_store(tmp_path)
-        seg = sorted(tmp_path.glob("seg-*.jsonl"))[0]
+        seg = tmp_path / ResultStore.LOG
         lines = seg.read_bytes().splitlines(keepends=True)
         assert len(lines) >= 2, "need two records to corrupt the first"
         seg.write_bytes(b"\x00garbage\n" + b"".join(lines[1:]))
@@ -93,9 +90,11 @@ class TestScrubDamage:
         assert report["files"][seg.name]["state"] == "corrupt"
 
     def test_orphan_segment_quarantined_not_deleted(self, tmp_path):
+        """A compaction's temp file, left by a crash before its rename,
+        is an orphan."""
         _make_store(tmp_path)
-        orphan = tmp_path / "seg-99999999.jsonl"
-        orphan.write_text(json.dumps({"k": "zombie", "v": {}}) + "\n")
+        orphan = tmp_path / f"{ResultStore.LOG}.tmp"
+        orphan.write_bytes((tmp_path / ResultStore.LOG).read_bytes()[:50])
 
         report = scrub_files(tmp_path)
         assert not report["clean"]
@@ -156,12 +155,12 @@ class TestScrubDamage:
         assert scrub_files(tmp_path)["clean"]
 
     def test_repair_keeps_surviving_records_readable(self, tmp_path):
-        _make_store(tmp_path, flush=False)
-        wal = sorted(tmp_path.glob("wal-*.log"))[0]
+        _make_store(tmp_path)
+        wal = tmp_path / ResultStore.LOG
         wal.write_bytes(wal.read_bytes() + b"torn!")
         scrub_files(tmp_path, repair=True)
 
-        store = ResultStore(tmp_path, background=False)
+        store = ResultStore(tmp_path)
         try:
             for i in range(4):
                 assert store.fetch(f"key-{i}") == \
@@ -170,21 +169,40 @@ class TestScrubDamage:
             store.close()
 
 
+def test_legacy_files_are_scrubbed_until_the_upgrade(tmp_path):
+    """A legacy WAL or segment not yet folded is checked line by line
+    like the log; its MANIFEST like the journal."""
+    line = b'{"seq": 1, "key": "k1", "record": {"v": 1}}\n'
+    (tmp_path / "wal-00000001.log").write_bytes(line + b'{"seq": 2, "ke')
+    (tmp_path / "seg-00000001.jsonl").write_bytes(line)
+    (tmp_path / "MANIFEST").write_bytes(b'{"op": "wal", "wal": "wal-0000')
+    report = scrub_files(tmp_path)
+    states = {name: info["state"] for name, info in report["files"].items()}
+    assert states == {"MANIFEST": "torn", "seg-00000001.jsonl": "ok",
+                      "wal-00000001.log": "torn"}
+    assert report["summary"]["records"] == 2
+    store = ResultStore(tmp_path)
+    assert store.fetch("k1") == {"v": 1}
+    store.close()
+    after = scrub_files(tmp_path)
+    assert after["clean"]
+    assert list(after["files"]) == [ResultStore.LOG]
+
+
 def test_record_key_flip_is_one_verdict_everywhere(tmp_path):
-    """A segment line that is still a JSON object but has no
+    """A log line that is still a JSON object but has no
     ``"record"`` object: fetch, recovery and scrub all call it damage,
     and repair leaves a clean store."""
-    store = ResultStore(tmp_path, background=False)
+    store = ResultStore(tmp_path)
     store.put("k1", {"v": "alpha"})
-    store.flush()
     store.close()
-    segment = sorted(tmp_path.glob("seg-*.jsonl"))[0]
+    segment = tmp_path / ResultStore.LOG
     data = segment.read_bytes()
     segment.write_bytes(data.replace(b'"record"', b'"recorf"', 1))
 
     copy = tmp_path.parent / f"{tmp_path.name}-copy"
     shutil.copytree(tmp_path, copy)
-    reopened = ResultStore(copy, background=False)
+    reopened = ResultStore(copy)
     try:
         assert reopened.fetch("k1") is None  # recovery never indexed it
     finally:

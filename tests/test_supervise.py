@@ -77,9 +77,9 @@ def _abandon(daemon: ServeDaemon) -> None:
             daemon.journal._fh.close()
             daemon.journal._fh = None
     daemon.store._crash_hook = None
-    if daemon.store._wal_fh is not None:
-        daemon.store._wal_fh.close()
-        daemon.store._wal_fh = None
+    if daemon.store._fh is not None:
+        daemon.store._fh.close()
+        daemon.store._fh = None
 
 
 def _wait(cond, what: str, timeout: float = 120.0) -> None:
@@ -455,7 +455,7 @@ class TestHttpBackpressure:
 
 def _recover(root: Path) -> ServeDaemon:
     """Open a fresh daemon (no crash hook) and let recovery settle."""
-    daemon = ServeDaemon(store=ResultStore(root, background=False),
+    daemon = ServeDaemon(store=ResultStore(root),
                          runners=1, default_jobs=1)
     if daemon.registry.list():
         _wait(lambda: _settled(daemon), "recovery completion")
@@ -473,7 +473,7 @@ class TestSubmitUnwind:
                 raise OSError("disk on fire")
 
         daemon = ServeDaemon(
-            store=ResultStore(tmp_path / "store", background=False),
+            store=ResultStore(tmp_path / "store"),
             runners=1, default_jobs=1, journal_crash_hook=hook)
         try:
             with pytest.raises(OSError):
@@ -490,7 +490,7 @@ class TestDaemonCrashRecovery:
     def test_kill_mid_running_recovers_and_resumes(self, tmp_path):
         root = tmp_path / "store"
         hook = DieAt("journal-running-durable")
-        daemon = ServeDaemon(store=ResultStore(root, background=False),
+        daemon = ServeDaemon(store=ResultStore(root),
                              runners=1, default_jobs=1,
                              journal_crash_hook=hook)
         task = daemon.submit(dict(TINY))  # acked: must survive
@@ -514,7 +514,7 @@ class TestDaemonCrashRecovery:
 
     def test_clean_restart_is_a_byte_for_byte_noop(self, tmp_path):
         root = tmp_path / "store"
-        daemon = ServeDaemon(store=ResultStore(root, background=False),
+        daemon = ServeDaemon(store=ResultStore(root),
                              runners=1, default_jobs=1)
         daemon.submit(dict(TINY))
         _wait(lambda: _settled(daemon), "first run completion")
@@ -522,7 +522,7 @@ class TestDaemonCrashRecovery:
         before = _disk_state(root)
         assert any(n == TaskJournal.NAME for n in before)
 
-        again = ServeDaemon(store=ResultStore(root, background=False),
+        again = ServeDaemon(store=ResultStore(root),
                             runners=1, default_jobs=1)
         assert again.registry.list()[0].state == "done"
         again.close()
@@ -530,7 +530,7 @@ class TestDaemonCrashRecovery:
 
     def test_deadline_exceeded_fails_closed(self, tmp_path):
         root = tmp_path / "store"
-        daemon = ServeDaemon(store=ResultStore(root, background=False),
+        daemon = ServeDaemon(store=ResultStore(root),
                              runners=1, default_jobs=1)
         try:
             task = daemon.submit({**TINY, "deadline": 1e-6})
@@ -549,7 +549,7 @@ class TestDaemonCrashRecovery:
         finish after restart, and recovery must be idempotent."""
         root = tmp_path_factory.mktemp("boundary") / "store"
         hook = DieAt(boundary)
-        daemon = ServeDaemon(store=ResultStore(root, background=False),
+        daemon = ServeDaemon(store=ResultStore(root),
                              runners=1, default_jobs=1,
                              journal_crash_hook=hook)
         acked_id: str | None = None
@@ -562,7 +562,7 @@ class TestDaemonCrashRecovery:
                   f"crash or completion at {boundary}")
         _abandon(daemon)
 
-        revived = ServeDaemon(store=ResultStore(root, background=False),
+        revived = ServeDaemon(store=ResultStore(root),
                               runners=1, default_jobs=1)
         if revived.registry.list():
             _wait(lambda: _settled(revived),
@@ -577,7 +577,7 @@ class TestDaemonCrashRecovery:
 
         # idempotence: another restart must not change a byte
         before = _disk_state(root)
-        again = ServeDaemon(store=ResultStore(root, background=False),
+        again = ServeDaemon(store=ResultStore(root),
                             runners=1, default_jobs=1)
         again.close()
         assert _disk_state(root) == before, \
